@@ -4,63 +4,8 @@ The package has five parts: the transition kernel and Monte Carlo sampler
 (`kernel`), the exact finite-n Fourier/generating-function engine with its
 enumeration oracles (`exact`), the error-function and quadrature substrate
 (`specfun`), the closed-form scaling limits (`limits`), and the experiment
-harness plus CLI (`harness`, `cli`).
+harness plus CLI (`harness`, `cli`).  Import names from those submodules;
+the package itself re-exports nothing.
 """
-
-from .errors import CapacityError, QuadratureError
-from .exact import (
-    CouplingVariant,
-    DiagFourierState,
-    GFPoint,
-    brute_force_char,
-    brute_force_h,
-    char_fn_exact,
-    coupling_coefficient,
-    diag_fourier_sequence,
-    diag_occupation,
-    endpoint_distribution,
-    exact_covariance,
-    gf_closed_form,
-    gf_h0_reciprocal,
-    gf_point,
-    gf_series,
-    h_evolve,
-    h_init,
-    series_truncation,
-)
-from .harness import (
-    CovarianceRow,
-    ReportRow,
-    SweepConfig,
-    run_covariance,
-    run_selftest,
-    run_sweep,
-    write_report,
-)
-from .kernel import (
-    EndpointSample,
-    StickinessParam,
-    WalkState,
-    path_rng,
-    simulate_endpoints,
-    step,
-    stickiness_u,
-)
-from .limits import (
-    LimitParams,
-    RegimeSpec,
-    covariance_limit,
-    ell,
-    ell_laplace_numeric,
-    laplace_empirical,
-    laplace_numeric,
-    laplace_target,
-    limit_cf,
-    limit_params,
-    phi_critical,
-    subcritical_density,
-    supercritical_density,
-)
-from .specfun import erfc_real, erfcx_complex, erfcx_real, integrate_01
 
 __version__ = "0.1.0"

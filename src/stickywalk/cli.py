@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: selftest, sweep, covariance, exact-cf, limit-cf, mc, gf-check.
-A flat key=value config file can supply any long flag's value; explicit
-flags win.  Exit status: 0 success, 1 numeric failure, 2 usage error.
+A flat key=value config file can supply the value of any flag its command
+takes, checked like the flag itself; explicit flags win.  Exit status: 0
+success, 1 numeric failure, 2 usage error (an unparsable, out-of-range or
+missing flag, or an unknown config key).
 """
 
 from __future__ import annotations
@@ -32,135 +34,141 @@ from .limits import RegimeSpec, limit_cf
 
 _REGIMES = {"sub": "subcritical", "critical": "critical", "super": "supercritical"}
 _COUPLINGS = {"kernel": CouplingVariant.KERNEL, "paper": CouplingVariant.PAPER}
+# flags a command cannot run without; a config file may supply them
+_REQUIRED = {"sweep": ("regime",), "limit-cf": ("regime",), "covariance": ("alpha",),
+             "mc": ("out",)}
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
+def _int(lo: int):
+    """Integer flag type with a lower bound."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
+def _list(item):
+    """Comma (or semicolon) separated list of ``item`` values."""
+    def parse(text: str) -> tuple:
+        return tuple(item(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
+    parse.__name__ = f"{item.__name__} list"
+    return parse
 
 
-def _load_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+def _config_defaults(path: str, sub: argparse.ArgumentParser) -> dict:
+    """Flag values from a flat key=value file, checked as if given as flags."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        sub.error(f"cannot read config: {exc}")
+    keys, flags = [], []
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ValueError(f"config line is not key=value: {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
-
-
-def _merge(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Fill flags the user left unset from the config file, if any."""
-    if not getattr(args, "config", None):
-        return args
-    file_values = _load_config(args.config)
-    for key, text in file_values.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            continue
-        if getattr(args, attr) is None:
-            setattr(args, attr, text)
-    return args
+        key, sep, value = line.partition("=")
+        if not sep:
+            sub.error(f"config line is not key=value: {line!r}")
+        keys.append(key.strip())
+        flags.append(f"--{keys[-1]}={value.strip()}")
+    parsed, unknown = sub.parse_known_args(flags)
+    if unknown:
+        bad = ", ".join(key for key, flag in zip(keys, flags) if flag in unknown)
+        sub.error(f"unknown config key(s) in {path}: {bad}")
+    return {key: getattr(parsed, key) for key in keys}
 
 
 def _regime_from(args) -> RegimeSpec:
-    if args.regime is None:
-        raise ValueError("--regime is required (sub | critical | super)")
     kind = _REGIMES[args.regime]
     if kind == "critical":
-        alpha = float(args.alpha) if args.alpha is not None else None
-        if alpha is None:
-            raise ValueError("critical regime requires --alpha")
-        return RegimeSpec.critical(alpha)
+        return RegimeSpec.critical(args.alpha)
     if kind == "subcritical":
         return RegimeSpec.subcritical()
     return RegimeSpec.supercritical()
 
 
-def _grid_from(args) -> tuple[tuple[float, float], ...]:
-    axis = _parse_floats(args.grid) if args.grid is not None else DEFAULT_GRID_AXIS
-    return tuple((s, t) for s in axis for t in axis)
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key=value file; flags override it")
-    sub.add_argument("--out", help="output file path (default: stdout)")
-    sub.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subparser of each command."""
     parser = argparse.ArgumentParser(prog="stickywalk",
                                      description="Sticky random walk laboratory")
     subs = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = subs.add_parser("selftest", help="run every invariant suite at pinned parameters")
-    p.add_argument("--coupling", choices=sorted(_COUPLINGS), default=None)
-    _add_common(p)
+    def command(name: str, summary: str, out: bool = False, fmt: bool = False):
+        p = commands[name] = subs.add_parser(name, help=summary, allow_abbrev=False)
+        p.add_argument("--config", help="flat key=value file; flags override it")
+        if out:
+            p.add_argument("--out", help="output file path (default: stdout)")
+        if fmt:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+        return p
 
-    p = subs.add_parser("sweep", help="regime sweep: exact vs Monte Carlo vs limit")
-    p.add_argument("--regime", choices=sorted(_REGIMES), default=None)
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--n", dest="n", default=None, help="comma list of step counts")
-    p.add_argument("--grid", default=None, help="comma list of axis values; grid is the square")
-    p.add_argument("--paths", default=None)
-    p.add_argument("--seed", default=None)
-    p.add_argument("--workers", default=None)
-    p.add_argument("--coupling", choices=sorted(_COUPLINGS), default=None)
-    p.add_argument("--tol", default=None, help="quadrature tolerance for the limit side")
-    _add_common(p)
+    def coupling(p):
+        p.add_argument("--coupling", choices=sorted(_COUPLINGS), default="kernel")
 
-    p = subs.add_parser("covariance", help="n^-1 E[x y] at delta = alpha sqrt(n) vs limit")
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--n", dest="n", default=None)
-    p.add_argument("--paths", default=None)
-    p.add_argument("--seed", default=None)
-    p.add_argument("--workers", default=None)
-    _add_common(p)
+    def regime(p):
+        p.add_argument("--regime", choices=sorted(_REGIMES))
+        p.add_argument("--alpha", type=float, help="critical-regime scale delta_n / sqrt(n)")
 
-    p = subs.add_parser("exact-cf", help="exact characteristic function at one point")
-    p.add_argument("--delta", default=None)
-    p.add_argument("--n", dest="n", default=None)
-    p.add_argument("--s", default=None)
-    p.add_argument("--t", default=None)
-    p.add_argument("--coupling", choices=sorted(_COUPLINGS), default=None)
-    _add_common(p)
+    def sampler(p, paths_min: int, paths_default: int):
+        p.add_argument("--paths", type=_int(paths_min), default=paths_default)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--workers", type=_int(1), default=1)
 
-    p = subs.add_parser("limit-cf", help="limiting characteristic function at one point")
-    p.add_argument("--regime", choices=sorted(_REGIMES), default=None)
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--s", default=None)
-    p.add_argument("--t", default=None)
-    p.add_argument("--tol", default=None)
-    _add_common(p)
+    p = command("selftest", "run every invariant suite at pinned parameters", out=True)
+    coupling(p)
 
-    p = subs.add_parser("mc", help="simulate endpoints and write CSV + JSON sidecar")
-    p.add_argument("--delta", default=None)
-    p.add_argument("--n", dest="n", default=None)
-    p.add_argument("--paths", default=None)
-    p.add_argument("--seed", default=None)
-    p.add_argument("--workers", default=None)
-    _add_common(p)
+    p = command("sweep", "regime sweep: exact vs Monte Carlo vs limit", out=True, fmt=True)
+    regime(p)
+    p.add_argument("--n", type=_list(_int(1)), default="256,1024,4096",
+                   help="comma list of step counts")
+    p.add_argument("--grid", type=_list(float), default=DEFAULT_GRID_AXIS,
+                   help="comma list of axis values; grid is the square")
+    sampler(p, paths_min=0, paths_default=0)
+    coupling(p)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="quadrature tolerance for the limit side")
 
-    p = subs.add_parser("gf-check", help="closed-form generating function vs truncated series")
-    p.add_argument("--delta", default=None)
-    p.add_argument("--t", default=None)
-    p.add_argument("--z", default=None)
-    p.add_argument("--j", default=None)
-    p.add_argument("--tol", default=None, help="pick series truncation from this tail bound")
-    _add_common(p)
+    p = command("covariance", "n^-1 E[x y] at delta = alpha sqrt(n) vs limit",
+                out=True, fmt=True)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--n", type=_list(_int(1)), default="100,1000,10000")
+    sampler(p, paths_min=0, paths_default=0)
 
-    return parser
+    p = command("exact-cf", "exact characteristic function at one point")
+    p.add_argument("--delta", type=float, default=1.0)
+    p.add_argument("--n", type=_int(0), default=0)
+    p.add_argument("--s", type=float, default=0.0)
+    p.add_argument("--t", type=float, default=0.0)
+    coupling(p)
+
+    p = command("limit-cf", "limiting characteristic function at one point")
+    regime(p)
+    p.add_argument("--s", type=float, default=0.0)
+    p.add_argument("--t", type=float, default=0.0)
+    p.add_argument("--tol", type=float, default=1e-10)
+
+    p = command("mc", "simulate endpoints and write CSV + JSON sidecar", out=True)
+    p.add_argument("--delta", type=float, default=1.0)
+    p.add_argument("--n", type=_int(0), default=0)
+    sampler(p, paths_min=1, paths_default=1000)
+
+    p = command("gf-check", "closed-form generating function vs truncated series")
+    p.add_argument("--delta", type=float, default=1.0)
+    p.add_argument("--t", type=float, default=0.0)
+    p.add_argument("--z", type=float, default=0.5)
+    p.add_argument("--j", type=_int(0), default=0)
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="pick series truncation from this tail bound")
+
+    return parser, commands
 
 
 def _cmd_selftest(args) -> int:
-    coupling = _COUPLINGS[args.coupling or "kernel"]
-    report = run_selftest(coupling)
+    report = run_selftest(_COUPLINGS[args.coupling])
     for name, entry in report["checks"].items():
         status = "PASS" if entry["passed"] else "FAIL"
         print(f"[{status}] {name}: {entry['detail']}")
@@ -172,95 +180,62 @@ def _cmd_selftest(args) -> int:
     return 0 if report["passed"] else 1
 
 
+def _emit(rows, args) -> int:
+    text = write_report(rows, out=args.out, fmt=args.format)
+    if not args.out:
+        print(text, end="")
+    failures = sum(1 for row in rows if row.error)
+    if failures:
+        print(f"{failures} row(s) failed", file=sys.stderr)
+        return 1
+    return 0
+
+
 def _cmd_sweep(args) -> int:
     config = SweepConfig(
         regime=_regime_from(args),
-        n_list=_parse_ints(args.n or "256,1024,4096"),
-        grid=_grid_from(args),
-        paths=int(args.paths or 0),
-        seed=int(args.seed or 0),
-        workers=int(args.workers or 1),
-        coupling=_COUPLINGS[args.coupling or "kernel"],
-        tolerances={"quad": float(args.tol or 1e-10)},
+        n_list=args.n,
+        grid=tuple((s, t) for s in args.grid for t in args.grid),
+        paths=args.paths,
+        seed=args.seed,
+        workers=args.workers,
+        coupling=_COUPLINGS[args.coupling],
+        tolerances={"quad": args.tol},
     )
-    rows = run_sweep(config)
-    text = write_report(rows, out=args.out, fmt=args.fmt or "csv")
-    if not args.out:
-        print(text, end="")
-    failures = sum(1 for row in rows if row.error)
-    if failures:
-        print(f"{failures} row(s) failed", file=sys.stderr)
-        return 1
-    return 0
+    return _emit(run_sweep(config), args)
 
 
 def _cmd_covariance(args) -> int:
-    if args.alpha is None:
-        raise ValueError("covariance requires --alpha")
-    rows = run_covariance(
-        alpha=float(args.alpha),
-        n_list=_parse_ints(args.n or "100,1000,10000"),
-        seed=int(args.seed or 0),
-        paths=int(args.paths or 0),
-        workers=int(args.workers or 1),
-    )
-    text = write_report(rows, out=args.out, fmt=args.fmt or "csv")
-    if not args.out:
-        print(text, end="")
-    failures = sum(1 for row in rows if row.error)
-    if failures:
-        print(f"{failures} row(s) failed", file=sys.stderr)
-        return 1
-    return 0
+    return _emit(run_covariance(alpha=args.alpha, n_list=args.n, seed=args.seed,
+                                paths=args.paths, workers=args.workers), args)
 
 
 def _cmd_exact_cf(args) -> int:
-    p = StickinessParam(float(args.delta if args.delta is not None else 1.0))
-    value = char_fn_exact(
-        p,
-        float(args.s or 0.0),
-        float(args.t or 0.0),
-        int(args.n or 0),
-        _COUPLINGS[args.coupling or "kernel"],
-    )
+    value = char_fn_exact(StickinessParam(args.delta), args.s, args.t, args.n,
+                          _COUPLINGS[args.coupling])
     print(f"{value.real:.17g}")
     return 0
 
 
 def _cmd_limit_cf(args) -> int:
-    value = limit_cf(
-        _regime_from(args),
-        float(args.s or 0.0),
-        float(args.t or 0.0),
-        tol=float(args.tol or 1e-10),
-    )
-    print(f"{value:.17g}")
+    print(f"{limit_cf(_regime_from(args), args.s, args.t, tol=args.tol):.17g}")
     return 0
 
 
 def _cmd_mc(args) -> int:
-    if not args.out:
-        raise ValueError("mc requires --out for the CSV (a .json sidecar is written next to it)")
-    p = StickinessParam(float(args.delta if args.delta is not None else 1.0))
-    seed = int(args.seed or 0)
-    sample = simulate_endpoints(
-        p, int(args.n or 0), int(args.paths or 1000), seed, workers=int(args.workers or 1)
-    )
+    sample = simulate_endpoints(StickinessParam(args.delta), args.n, args.paths, args.seed,
+                                workers=args.workers)
     sample.write_csv(args.out)
     print(f"wrote {sample.paths} endpoints to {args.out}")
     return 0
 
 
 def _cmd_gf_check(args) -> int:
-    p = StickinessParam(float(args.delta if args.delta is not None else 1.0))
-    t = float(args.t or 0.0)
-    z = float(args.z if args.z is not None else 0.5)
-    j = int(args.j or 0)
-    tol = float(args.tol or 1e-12)
-    N = series_truncation(z, tol)
-    closed = gf_closed_form(p, t, z, j)
-    series = gf_series(p, t, z, j, N)
-    bound = z ** (N + 1) / (1.0 - z) + 1e-12
+    p = StickinessParam(args.delta)
+    N = series_truncation(args.z, args.tol)
+    closed = gf_closed_form(p, args.t, args.z, args.j)
+    series = gf_series(p, args.t, args.z, args.j, N)
+    bound = args.z ** (N + 1) / (1.0 - args.z) + 1e-12
     gap = abs(closed - series)
     ok = gap <= bound
     print(f"closed={closed:.17g} series(N={N})={series:.17g} |gap|={gap:.3e} bound={bound:.3e}")
@@ -280,14 +255,22 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)  # exits 2 on usage errors
-    args = _merge(args, parser)
+    sub = commands[args.command]
+    if args.config:
+        sub.set_defaults(**_config_defaults(args.config, sub))
+        args = parser.parse_args(argv)
+    missing = [f"--{flag}" for flag in _REQUIRED.get(args.command, ())
+               if getattr(args, flag) is None]
+    if getattr(args, "regime", None) == "critical" and args.alpha is None:
+        missing.append("--alpha (the critical regime needs it)")
+    if missing:
+        sub.error("missing " + ", ".join(missing))
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except ValueError as exc:  # a flag value the library rejects as out of range
+        sub.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -29,10 +29,7 @@ from .kernel import StickinessParam
 
 __all__ = [
     "CouplingVariant",
-    "DiagFourierState",
     "GFPoint",
-    "h_init",
-    "h_evolve",
     "diag_fourier_sequence",
     "diag_occupation",
     "coupling_coefficient",
@@ -70,44 +67,16 @@ class CouplingVariant(str, enum.Enum):
 # diagonal Fourier recursion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiagFourierState:
-    """The sequence h(j, t, n) over j = 0..n at a fixed Fourier angle t."""
+def diag_fourier_sequence(u: float, t: float, n: int, j: int = 0) -> np.ndarray:
+    """h(j, t, k) for k = 0..n as float64, via the recursion (O(n^2) total).
 
-    t: float
-    n: int
-    h: np.ndarray  # complex128, length n + 1
-    u: float | None = None  # set once evolved; h at n = 0 is u-independent
-
-
-def h_init(t: float) -> DiagFourierState:
-    """State at n = 0: the walk starts on the diagonal at center 0, so h = e_0."""
-    h = np.zeros(1, dtype=np.complex128)
-    h[0] = 1.0
-    return DiagFourierState(t=float(t), n=0, h=h)
-
-
-def h_evolve(state: DiagFourierState, u: float) -> DiagFourierState:
-    """One step of the recursion; support grows by at most one index.
+    Starting from h(., t, 0) = e_0 (the walk starts on the diagonal at
+    center 0), one step grows the support by at most one index:
 
     h(0, n+1) = (u cos t / 2) h(0, n) + (1/2) h(1, n)
     h(1, n+1) = ((2-u)/4) h(0, n) + (cos t / 2) h(1, n) + (1/4) h(2, n)
     h(j, n+1) = (1/4) h(j-1, n) + (cos t / 2) h(j, n) + (1/4) h(j+1, n), j >= 2
     """
-    ct = math.cos(state.t)
-    n = state.n
-    src = np.zeros(n + 4, dtype=np.complex128)
-    src[: n + 1] = state.h
-    out = np.empty(n + 2, dtype=np.complex128)
-    out[0] = 0.5 * (u * ct * src[0] + src[1])
-    out[1] = 0.25 * ((2.0 - u) * src[0] + src[2]) + 0.5 * ct * src[1]
-    if n + 1 >= 2:
-        out[2 : n + 2] = 0.25 * (src[1 : n + 1] + src[3 : n + 3]) + 0.5 * ct * src[2 : n + 2]
-    return DiagFourierState(t=state.t, n=n + 1, h=out, u=float(u))
-
-
-def diag_fourier_sequence(u: float, t: float, n: int, j: int = 0) -> np.ndarray:
-    """h(j, t, k) for k = 0..n as float64, via the recursion (O(n^2) total)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if j < 0:

@@ -1,4 +1,5 @@
-"""Experiment orchestration: regime sweeps, covariance runs, and the self-test.
+"""Experiment orchestration: regime sweeps, covariance runs, the cross-route
+measurements, and the self-test that runs them at pinned parameters.
 
 Reports are plain rows of floats.  Output is deterministic byte-for-byte for
 a given (config, seed): Monte Carlo substreams are derived from
@@ -28,7 +29,7 @@ from .exact import (
     gf_series,
     series_truncation,
 )
-from .kernel import StickinessParam, simulate_endpoints
+from .kernel import StickinessParam, simulate_endpoints, stickiness_u
 from .limits import (
     RegimeSpec,
     covariance_limit,
@@ -56,6 +57,16 @@ __all__ = [
     "rows_to_csv",
     "rows_to_json",
     "write_report",
+    "oracle_gaps",
+    "gf_gaps",
+    "variant_values",
+    "variant_sup_gaps",
+    "ell_transform_gaps",
+    "laplace_limit_errors",
+    "covariance_gaps",
+    "mc_agreement",
+    "worst_relative_error",
+    "ell_origin_gap",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -105,6 +116,8 @@ class SweepConfig:
             raise ValueError("grid must be nonempty")
         if self.paths < 0:
             raise ValueError("paths must be >= 0")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if any(v <= 0 for v in self.tolerances.values()):
             raise ValueError("tolerances must be positive")
 
@@ -251,235 +264,329 @@ def write_report(rows, out: str | Path | None = None, fmt: str = "csv") -> str:
 
 
 # ---------------------------------------------------------------------------
+# measurements: each cross-route check has one implementation here.  A
+# measurement returns the numbers a verdict is taken on; the self-test runs
+# it at small pinned parameters, and the acceptance suite runs the same
+# function at the parameters and tolerances of its criteria.
+# ---------------------------------------------------------------------------
+
+def _worst(values, floor: float = 0.0) -> float:
+    """Largest of floor and values, and NaN if any value is NaN.
+
+    The built-in max drops a NaN that is not its first argument, so a NaN gap
+    would pass a ``<= tol`` verdict; np.max propagates it and the check fails.
+    """
+    return float(np.max([floor, *values]))
+
+
+def oracle_gaps(deltas, ns, angles, js) -> tuple[float, float]:
+    """Worst |f - enumeration| and worst |h(j) - enumeration| (kernel coupling)."""
+    f_gaps, h_gaps = [], []
+    for delta in deltas:
+        p = StickinessParam(delta)
+        for n in ns:
+            f_gaps += (abs(char_fn_exact(p, s, t, n, CouplingVariant.KERNEL)
+                           - brute_force_char(p, s, t, n))
+                       for s in angles for t in angles)
+            h_gaps += (abs(diag_fourier_sequence(p.u, t, n, j=j)[n] - brute_force_h(p, j, t, n))
+                       for j in js for t in angles)
+    return _worst(f_gaps), _worst(h_gaps)
+
+
+def gf_gaps(deltas, zs, ts, js) -> dict:
+    """Closed-form H(j, t, z) vs its series, truncated where the tail is below 1e-13.
+
+    "margin" is the worst gap minus its bound; the bound holds iff margin <= 0.
+    """
+    gaps, margins = [], []
+    for delta in deltas:
+        p = StickinessParam(delta)
+        for z in zs:
+            N = series_truncation(z, 1e-13)
+            bound = z ** (N + 1) / (1.0 - z) + 1e-12
+            for t in ts:
+                for j in js:
+                    gap = abs(gf_closed_form(p, t, z, j) - gf_series(p, t, z, j, N))
+                    gaps.append(gap)
+                    margins.append(gap - bound)
+    return {"gap": _worst(gaps), "margin": _worst(margins, floor=-math.inf)}
+
+
+def variant_values(delta: float, s: float, t: float, n: int) -> dict:
+    """f at one point under both couplings, and its enumeration value."""
+    p = StickinessParam(delta)
+    return {
+        "paper": char_fn_exact(p, s, t, n, CouplingVariant.PAPER),
+        "kernel": char_fn_exact(p, s, t, n, CouplingVariant.KERNEL),
+        "oracle": brute_force_char(p, s, t, n),
+    }
+
+
+def variant_sup_gaps(axis, ns) -> list[float]:
+    """Per n, sup over the axis x axis grid of |f_kernel - f_paper| at
+    delta = sqrt(n) and angles scaled by 1/sqrt(n)."""
+    sups = []
+    for n in ns:
+        p = StickinessParam(math.sqrt(n))
+        rn = math.sqrt(n)
+        sups.append(_worst(
+            abs(char_fn_exact(p, s / rn, t / rn, n, CouplingVariant.KERNEL).real
+                - char_fn_exact(p, s / rn, t / rn, n, CouplingVariant.PAPER).real)
+            for s in axis for t in axis))
+    return sups
+
+
+def ell_transform_gaps(triples) -> dict:
+    """Worst |Laplace transform of ell by quadrature (tol 1e-9) - closed-form
+    critical target| over (alpha, w, lam), and whether ell's complex and
+    degenerate branches were reached."""
+    gaps, saw_complex, saw_degenerate = [], False, False
+    for alpha, w, lam in triples:
+        params = limit_params(alpha, w)
+        saw_complex = saw_complex or params.gamma.imag > 0.0
+        saw_degenerate = saw_degenerate or params.degenerate
+        got = ell_laplace_numeric(alpha, w, lam, tol=1e-9)
+        gaps.append(abs(got - laplace_target(RegimeSpec.critical(alpha), w, lam)))
+    return {"gap": _worst(gaps), "complex": saw_complex, "degenerate": saw_degenerate}
+
+
+def laplace_limit_errors(regimes, ns, pairs) -> dict[str, np.ndarray]:
+    """Per regime kind, |empirical Laplace transform at step n - closed-form
+    limit| as an array indexed [(w, lam) pair, n]."""
+    out = {}
+    for regime in regimes:
+        errs = np.empty((len(pairs), len(ns)))
+        for i, (w, lam) in enumerate(pairs):
+            for k, n in enumerate(ns):
+                delta = regime.delta_at(n)
+                emp = laplace_empirical(delta, n, w, lam)
+                if regime.kind == "subcritical":
+                    emp *= math.sqrt(n) / delta
+                errs[i, k] = abs(emp - laplace_target(regime, w, lam))
+        out[regime.kind] = errs
+    return out
+
+
+def covariance_gaps(n: int, alphas, fd_alphas, limit_tol: float) -> dict:
+    """Worst |n^-1 E[x y] - limit| at delta = alpha sqrt(n) over alphas, and
+    worst |central-difference (step 1e-3) d2 phi/ds dt at 0 + limit| over
+    fd_alphas."""
+    h = 1e-3
+    gaps, fd_gaps = [], []
+    for alpha in alphas:
+        limit = covariance_limit(alpha, tol=limit_tol)
+        gaps.append(abs(exact_covariance(StickinessParam(alpha * math.sqrt(n)), n) / n - limit))
+        if alpha in fd_alphas:
+            fd = (phi_critical(alpha, h, h, tol=1e-12) - phi_critical(alpha, h, -h, tol=1e-12)
+                  - phi_critical(alpha, -h, h, tol=1e-12)
+                  + phi_critical(alpha, -h, -h, tol=1e-12)) / (4.0 * h * h)
+            fd_gaps.append(abs(fd + limit))
+    return {"gap": _worst(gaps), "fd": _worst(fd_gaps)}
+
+
+def mc_agreement(delta: float, n: int, paths: int, seed: int, axis=(), k_sigma: float = 4.0,
+                 workers=()) -> dict:
+    """Monte Carlo vs exact f on the axis x axis grid, angles scaled by 1/sqrt(n).
+
+    "within" counts grid points with |f_mc - f_exact| <= k_sigma * stderr (a
+    NaN on either side is not within); "identical" says whether every worker
+    count in ``workers`` reproduces the one-worker endpoints bit for bit;
+    "off_parity" counts endpoints whose parity differs from n's.
+    """
+    p = StickinessParam(delta)
+    sample = simulate_endpoints(p, n, paths, seed, workers=1)
+    rn = math.sqrt(n)
+    within = 0
+    for s in axis:
+        for t in axis:
+            proj = np.cos((s * sample.x + t * sample.y) / rn)
+            stderr = float(proj.std(ddof=1)) / math.sqrt(paths)
+            f_exact = char_fn_exact(p, s / rn, t / rn, n).real
+            within += abs(float(proj.mean()) - f_exact) <= k_sigma * stderr
+    identical = True
+    for w in workers:
+        other = simulate_endpoints(p, n, paths, seed, workers=w)
+        identical = identical and np.array_equal(sample.x, other.x) \
+            and np.array_equal(sample.y, other.y)
+    off_parity = int(np.sum(((sample.x - n) % 2 != 0) | ((sample.y - n) % 2 != 0)))
+    return {"within": within, "points": len(axis) ** 2, "identical": identical,
+            "off_parity": off_parity}
+
+
+def worst_relative_error(fn, table) -> float:
+    """max |fn(x) - want| / |want| over a frozen (x, want) reference table."""
+    return _worst(abs(fn(x) - want) / abs(want) for x, want in table)
+
+
+def ell_origin_gap(alphas, ws) -> float:
+    """Worst |ell(0) - 1| over alphas x (ws plus the degenerate seam w = 2/alpha)."""
+    return _worst(abs(ell(limit_params(alpha, w), 0.0) - 1.0)
+                  for alpha in alphas for w in (*ws, 2.0 / alpha))
+
+
+# self-test-only measurements: invariants with no acceptance criterion
+
+def _kernel_unit(row_deltas, **sampler) -> dict:
+    rows = [(p.u / 4, p.u / 4, p.two_minus_u / 4, p.two_minus_u / 4)
+            for p in map(StickinessParam, row_deltas)]
+    return {
+        "u_exact": _worst((abs(stickiness_u(0.0) - 1.0), abs(stickiness_u(2.0) - 1.5))),
+        "u_limit": abs(stickiness_u(1e12) - 2.0),
+        "probs_in_range": all(0.0 <= q <= 0.5 for row in rows for q in row),
+        "row_sum": _worst(abs(sum(row) - 1.0) for row in rows),
+        **mc_agreement(**sampler),
+    }
+
+
+def _kernel_statistics(delta: float, n: int, paths: int, seed: int) -> dict:
+    sample = simulate_endpoints(StickinessParam(delta), n, paths, seed=seed)
+    splits = int(np.sum(sample.x > sample.y)), int(np.sum(sample.y > sample.x))
+    return {
+        "mean_sigmas": _worst(abs(c.mean()) for c in (sample.x, sample.y)) / math.sqrt(n / paths),
+        "splits": splits,
+        "split_sigmas": abs(splits[0] - splits[1]) / math.sqrt(max(sum(splits), 1)),
+    }
+
+
+def _normalization_symmetry(deltas, coupling) -> dict:
+    out = {key: [] for key in ("f00", "occ_outside", "mass", "imag", "exchange", "h_max")}
+    for delta in deltas:
+        p = StickinessParam(delta)
+        occ = diag_fourier_sequence(p.u, 0.0, 23)
+        out["f00"].append(abs(char_fn_exact(p, 0.0, 0.0, 23, coupling) - 1.0))
+        out["occ_outside"] += (-float(occ.min()), float(occ.max()) - 1.0)
+        # full-line mass: h(j, 0, n) = P(half-distance = j), mirrored over +-j
+        for n in (5, 23):
+            hj = [diag_fourier_sequence(p.u, 0.0, n, j=j)[n] for j in range(n + 1)]
+            out["mass"].append(abs(hj[0] + 2.0 * sum(hj[1:]) - 1.0))
+        for s, t in ((0.3, -1.2), (2.0, 0.7)):
+            a = char_fn_exact(p, s, t, 17, coupling)
+            out["imag"].append(abs(a.imag))
+            out["exchange"].append(abs(a - char_fn_exact(p, t, s, 17, coupling)))
+        out["h_max"].append(float(np.max(np.abs(diag_fourier_sequence(p.u, 1.1, 64)))))
+    return {key: _worst(values) for key, values in out.items()}
+
+
+def _erfc_reference(xs, zs) -> dict:
+    table = specfun.ERFC_TABLE  # looked up per call, so a patched table is seen
+    scaling, real_axis = [], []
+    for x in xs:
+        scaling.append(abs(erfcx_real(x) * math.exp(-x * x) - erfc_real(x)))
+        z = erfcx_complex(complex(x, 0.0))
+        real_axis.append(abs(z - erfcx_real(x)) / max(1.0, abs(z)))
+    conjugation = []
+    for z in zs:
+        a = erfcx_complex(z).conjugate()
+        conjugation.append(abs(a - erfcx_complex(z.conjugate())) / abs(a))
+    return {"rows": len(table), "table": worst_relative_error(erfc_real, table),
+            "scaling": _worst(scaling), "real_axis": _worst(real_axis),
+            "conjugation": _worst(conjugation)}
+
+
+def _ell_profile(alphas, ws) -> dict:
+    for alpha in alphas:
+        for w in (*ws, 2.0 / alpha):
+            ell(limit_params(alpha, w), 3.7)  # raises past the realness budget
+    seam = ell(limit_params(1.0, 2.0), 0.8)
+    return {
+        "origin": ell_origin_gap(alphas, ws),
+        "seam": _worst(abs(ell(limit_params(1.0, 2.0 + eps), 0.8) - seam) for eps in (1e-6, -1e-6)),
+    }
+
+
+def _laplace_consistency(triples, density_pairs, regimes, n, limit_pairs) -> dict:
+    density = []
+    for w, lam in density_pairs:
+        sub = laplace_numeric(lambda x: subcritical_density(w, x), lam,
+                              tol=1e-10, sqrt_singular_at_zero=True)
+        sup = laplace_numeric(lambda x: supercritical_density(w, x), lam, tol=1e-10)
+        density += (abs(sub - 1.0 / math.sqrt(4 * lam + w * w)), abs(sup - 1.0 / (0.5 * w * w + lam)))
+    limits = laplace_limit_errors(regimes, (n,), limit_pairs)
+    return {
+        "ell_transform": ell_transform_gaps(triples)["gap"],
+        "density": _worst(density),
+        "limits": _worst(float(errs.max()) for errs in limits.values()),
+    }
+
+
+def _quadrature_order(tols) -> dict:
+    integrands = (
+        (math.exp, math.e - 1.0, False),
+        (lambda x: 1.0 / math.sqrt(x) if x > 0 else 0.0, 2.0, True),
+    )
+    rises = []
+    for f, want, flag in integrands:
+        errs = [abs(integrate_01(f, singular_sqrt_at_zero=flag, tol=tol) - want) for tol in tols]
+        rises += (b - a for a, b in zip(errs, errs[1:]))
+    return {"worst_rise": _worst(rises, floor=-math.inf)}
+
+
+# ---------------------------------------------------------------------------
 # self-test
 # ---------------------------------------------------------------------------
 
-def _check_kernel_unit(coupling):
-    from .kernel import stickiness_u
-
-    assert stickiness_u(0.0) == 1.0
-    assert stickiness_u(2.0) == 1.5
-    assert abs(stickiness_u(1e12) - 2.0) < 1e-11
-    for delta in (0.0, 0.3, 1.0, 10.0, 1e6):
-        p = StickinessParam(delta)
-        probs = (p.u / 4, p.u / 4, p.two_minus_u / 4, p.two_minus_u / 4)
-        assert all(0.0 <= q <= 0.5 for q in probs)
-        assert abs(sum(probs) - 1.0) < 1e-15
-    p = StickinessParam(1.0)
-    a = simulate_endpoints(p, 33, 500, seed=11)
-    b = simulate_endpoints(p, 33, 500, seed=11, workers=3)
-    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y), "worker-dependent results"
-    assert np.all((a.x - 33) % 2 == 0) and np.all((a.y - 33) % 2 == 0), "parity violated"
-    return "u map, kernel row sums, parity, worker invariance"
-
-
-def _check_kernel_statistics(coupling):
-    p = StickinessParam(2.0)
-    n, paths = 64, 20000
-    sample = simulate_endpoints(p, n, paths, seed=7)
-    for coord in (sample.x, sample.y):
-        mean = coord.mean()
-        band = 4.0 * math.sqrt(n / paths)
-        assert abs(mean) <= band, f"marginal mean {mean} outside {band}"
-    swaps = int(np.sum(sample.x > sample.y)), int(np.sum(sample.y > sample.x))
-    gap = abs(swaps[0] - swaps[1]) / math.sqrt(max(sum(swaps), 1))
-    assert gap <= 4.0, f"exchange asymmetry {swaps} ({gap:.2f} sigma)"
-    return f"marginal means, exchange symmetry ({swaps[0]} vs {swaps[1]} splits)"
-
-
-def _check_oracle_equivalence(coupling):
-    angles = (-2.0, 0.4, 1.9)
-    worst = 0.0
-    for delta in (0.0, 1.0, 5.0):
-        p = StickinessParam(delta)
-        for n in (1, 3, 6, 8):
-            for s in angles:
-                for t in angles:
-                    worst = max(worst, abs(
-                        char_fn_exact(p, s, t, n, CouplingVariant.KERNEL)
-                        - brute_force_char(p, s, t, n)))
-            for j in (0, 1, 3):
-                for t in angles:
-                    worst = max(worst, abs(
-                        diag_fourier_sequence(p.u, t, n, j=j)[n] - brute_force_h(p, j, t, n)))
-    assert worst < 1e-12, f"worst |exact - enumeration| = {worst:.3e}"
-    return f"worst |exact - enumeration| = {worst:.3e}"
-
-
-def _check_variant_discrimination(coupling):
-    p = StickinessParam(0.0)
-    s = t = math.pi / 2
-    f_paper = char_fn_exact(p, s, t, 1, CouplingVariant.PAPER)
-    f_kernel = char_fn_exact(p, s, t, 1, CouplingVariant.KERNEL)
-    f_oracle = brute_force_char(p, s, t, 1)
-    assert abs(f_kernel - f_oracle) < 1e-12
-    assert abs(f_paper - (-0.5)) < 1e-12
-    assert abs(f_paper - f_kernel) > 0.49, "variants unexpectedly agree at u = 1"
-    return f"paper variant {f_paper.real:+.3f} vs oracle {f_oracle.real:+.3f} (divergence expected)"
-
-
-def _check_variant_asymptotics(coupling):
-    grid = [(s, t) for s in (-2.0, -0.5, 1.0, 2.0) for t in (-2.0, -0.5, 1.0, 2.0)]
-    sups = []
-    for n in (256, 1024, 4096):
-        p = StickinessParam(math.sqrt(n))
-        rn = math.sqrt(n)
-        sup = 0.0
-        for s, t in grid:
-            fk = char_fn_exact(p, s / rn, t / rn, n, CouplingVariant.KERNEL).real
-            fp = char_fn_exact(p, s / rn, t / rn, n, CouplingVariant.PAPER).real
-            sup = max(sup, abs(fk - fp))
-        sups.append(sup)
-    assert sups[0] > sups[1] > sups[2], f"variant gap not shrinking: {sups}"
-    return "variant sup gaps " + " > ".join(f"{v:.2e}" for v in sups)
-
-
-def _check_normalization_symmetry(coupling):
-    for delta in (0.0, 1.5, 20.0):
-        p = StickinessParam(delta)
-        assert char_fn_exact(p, 0.0, 0.0, 23, coupling) == 1.0
-        occ = diag_fourier_sequence(p.u, 0.0, 23)
-        assert np.all(occ >= 0.0) and np.all(occ <= 1.0)
-        # full-line mass: h(j, 0, n) = P(half-distance = j), mirrored over +-j
-        state_mass = None
-        for n in (5, 23):
-            hj = [diag_fourier_sequence(p.u, 0.0, n, j=j)[n] for j in range(n + 1)]
-            state_mass = hj[0] + 2.0 * sum(hj[1:])
-            assert abs(state_mass - 1.0) < 1e-12, f"mirrored mass {state_mass}"
-        for s, t in ((0.3, -1.2), (2.0, 0.7)):
-            a = char_fn_exact(p, s, t, 17, coupling)
-            b = char_fn_exact(p, t, s, 17, coupling)
-            assert abs(a.imag) == 0.0 and abs(a - b) < 1e-12
-        seq = diag_fourier_sequence(p.u, 1.1, 64)
-        assert np.max(np.abs(seq)) <= 1.0 + 1e-12
-    return "f(0,0)=1, exchange symmetry, |h|<=1, mirrored mass 1"
-
-
-def _check_gf_identity(coupling):
-    worst = 0.0
-    for delta in (0.5, 3.0):
-        p = StickinessParam(delta)
-        for z in (0.3, 0.6, 0.9):
-            N = series_truncation(z, 1e-13)
-            for t in (0.0, 0.5, 2.0):
-                for j in (0, 1, 2, 5):
-                    closed = gf_closed_form(p, t, z, j)
-                    series = gf_series(p, t, z, j, N)
-                    bound = z ** (N + 1) / (1.0 - z) + 1e-12
-                    assert abs(closed - series) <= bound, (delta, z, t, j)
-                    worst = max(worst, abs(closed - series))
-    return f"closed form vs series, worst gap {worst:.3e}"
-
-
-def _check_erfc_reference(coupling):
-    table = specfun._ERFC_REFERENCE
-    for x, want in table:
-        got = erfc_real(x)
-        assert abs(got - want) <= 1e-13 * abs(want), f"erfc({x}) = {got} != {want}"
-    for x in np.linspace(0.0, 5.0, 21):
-        assert abs(erfcx_real(x) * math.exp(-x * x) - erfc_real(x)) < 1e-12
-        z = erfcx_complex(complex(x, 0.0))
-        assert abs(z - erfcx_real(x)) < 1e-10 * max(1.0, abs(z))
-    for z in (1 + 2j, -0.5 + 3j, 4 - 1j):
-        a = erfcx_complex(z).conjugate()
-        b = erfcx_complex(z.conjugate())
-        assert abs(a - b) <= 1e-10 * abs(a)
-    return f"{len(table)}-point reference table, scaling identity, conjugation"
-
-
-def _check_ell_profile(coupling):
-    for alpha in (0.5, 1.0, 2.0):
-        for w in (0.0, 1.0, 2.0, 4.0, 2.0 / alpha):
-            lp = limit_params(alpha, w)
-            assert abs(ell(lp, 0.0) - 1.0) < 1e-8, (alpha, w)
-            ell(lp, 3.7)  # realness budget enforced internally
-    d0 = ell(limit_params(1.0, 2.0), 0.8)
-    for eps in (1e-6, -1e-6):
-        assert abs(ell(limit_params(1.0, 2.0 + eps), 0.8) - d0) < 1e-4
-    return "ell(0)=1 grid, degenerate seam continuity"
-
-
-def _check_laplace_consistency(coupling):
-    crit = RegimeSpec.critical
-    for alpha, w, lam in ((1.0, 1.0, 1.0), (2.0, 2.0, 0.5), (1.0, 2.0, 1.0)):
-        got = ell_laplace_numeric(alpha, w, lam, tol=1e-9)
-        want = laplace_target(crit(alpha), w, lam)
-        assert abs(got - want) < 1e-6, (alpha, w, lam, got, want)
-    for w, lam in ((0.0, 1.0), (2.0, 0.5)):
-        sub = laplace_numeric(lambda x: subcritical_density(w, x), lam,
-                              tol=1e-10, sqrt_singular_at_zero=True)
-        assert abs(sub - 1.0 / math.sqrt(4 * lam + w * w)) < 1e-8
-        sup = laplace_numeric(lambda x: supercritical_density(w, x), lam, tol=1e-10)
-        assert abs(sup - 1.0 / (0.5 * w * w + lam)) < 1e-8
-    n = 10 ** 8
-    for regime in (RegimeSpec.subcritical(coeff=2.0), RegimeSpec.critical(2.0),
-                   RegimeSpec.supercritical()):
-        delta = regime.delta_at(n)
-        for w, lam in ((0.0, 0.5), (2.0, 2.0)):
-            emp = laplace_empirical(delta, n, w, lam)
-            if regime.kind == "subcritical":
-                emp *= math.sqrt(n) / delta
-            assert abs(emp - laplace_target(regime, w, lam)) <= 1e-2, (regime.kind, w, lam)
-    return "ell transform == critical target; density identities; closed-form limits"
-
-
-def _check_quadrature_order(coupling):
-    integrands = (
-        (lambda x: math.exp(x), math.e - 1.0, False),
-        (lambda x: 1.0 / math.sqrt(x) if x > 0 else 0.0, 2.0, True),
-    )
-    for f, want, flag in integrands:
-        prev = None
-        for tol in (1e-4, 5e-5, 2.5e-5, 1.25e-5):
-            err = abs(integrate_01(f, singular_sqrt_at_zero=flag, tol=tol) - want)
-            if prev is not None:
-                assert err <= prev + 1e-15, "halving tol increased the error"
-            prev = err
-    return "error nonincreasing as tol halves"
-
-
-def _check_covariance_consistency(coupling):
-    n = 2000
-    for alpha in (1.0, 2.0):
-        p = StickinessParam(alpha * math.sqrt(n))
-        gap = abs(exact_covariance(p, n) / n - covariance_limit(alpha))
-        assert gap < 1e-3, f"alpha={alpha}: gap {gap}"
-    h = 1e-3
-    fd = (phi_critical(1.0, h, h, tol=1e-12) - phi_critical(1.0, h, -h, tol=1e-12)
-          - phi_critical(1.0, -h, h, tol=1e-12) + phi_critical(1.0, -h, -h, tol=1e-12)) / (4 * h * h)
-    assert abs(fd + covariance_limit(1.0, tol=1e-12)) < 1e-4
-    return "finite-n covariance near limit; mixed derivative of phi matches"
-
-
-def _check_mc_agreement(coupling):
-    n, paths = 256, 20000
-    p = StickinessParam(2.0 * math.sqrt(n))
-    sample = simulate_endpoints(p, n, paths, seed=20250809)
-    rn = math.sqrt(n)
-    for s in (-1.0, 0.5, 2.0):
-        for t in (-1.0, 0.5, 2.0):
-            proj = np.cos((s * sample.x + t * sample.y) / rn)
-            f_mc = float(proj.mean())
-            stderr = float(proj.std(ddof=1)) / math.sqrt(paths)
-            f_ex = char_fn_exact(p, s / rn, t / rn, n).real
-            assert abs(f_mc - f_ex) <= 5.0 * stderr, (s, t, f_mc, f_ex, stderr)
-    return "Monte Carlo means within 5 sigma of exact on a 3x3 grid"
-
-
-_SELFTEST_CHECKS: tuple[tuple[str, Callable], ...] = (
-    ("kernel_unit", _check_kernel_unit),
-    ("kernel_statistics", _check_kernel_statistics),
-    ("oracle_equivalence", _check_oracle_equivalence),
-    ("variant_discrimination", _check_variant_discrimination),
-    ("variant_asymptotics", _check_variant_asymptotics),
-    ("normalization_symmetry", _check_normalization_symmetry),
-    ("gf_identity", _check_gf_identity),
-    ("erfc_reference", _check_erfc_reference),
-    ("ell_profile", _check_ell_profile),
-    ("laplace_consistency", _check_laplace_consistency),
-    ("quadrature_order", _check_quadrature_order),
-    ("covariance_consistency", _check_covariance_consistency),
-    ("mc_agreement", _check_mc_agreement),
+# (name, measurement, self-test parameters, verdict on the measured value ->
+# (passed, detail)).  A "coupling" parameter takes run_selftest's coupling.
+_SELFTEST_CHECKS: tuple[tuple[str, Callable, dict, Callable], ...] = (
+    ("kernel_unit", _kernel_unit,
+     dict(row_deltas=(0.0, 0.3, 1.0, 10.0, 1e6),
+          delta=1.0, n=33, paths=500, seed=11, workers=(3,)),
+     lambda m: (m["u_exact"] == 0.0 and m["u_limit"] < 1e-11 and m["probs_in_range"]
+                and m["row_sum"] < 1e-15 and m["off_parity"] == 0 and m["identical"],
+                "u map, kernel row sums, parity, worker invariance")),
+    ("kernel_statistics", _kernel_statistics, dict(delta=2.0, n=64, paths=20000, seed=7),
+     lambda m: (m["mean_sigmas"] <= 4.0 and m["split_sigmas"] <= 4.0,
+                "marginal means, exchange symmetry "
+                f"({m['splits'][0]} vs {m['splits'][1]} splits)")),
+    ("oracle_equivalence", oracle_gaps,
+     dict(deltas=(0.0, 1.0, 5.0), ns=(1, 3, 6, 8), angles=(-2.0, 0.4, 1.9), js=(0, 1, 3)),
+     lambda m: (m[0] < 1e-12 and m[1] < 1e-12,
+                f"worst |exact - enumeration| = {_worst(m):.3e}")),
+    ("variant_discrimination", variant_values,
+     dict(delta=0.0, s=math.pi / 2, t=math.pi / 2, n=1),
+     lambda m: (abs(m["kernel"] - m["oracle"]) < 1e-12 and abs(m["paper"] + 0.5) < 1e-12
+                and abs(m["paper"] - m["kernel"]) > 0.49,
+                f"paper variant {m['paper'].real:+.3f} vs oracle {m['oracle'].real:+.3f} "
+                "(divergence expected)")),
+    ("variant_asymptotics", variant_sup_gaps,
+     dict(axis=(-2.0, -0.5, 1.0, 2.0), ns=(256, 1024, 4096)),
+     lambda m: (all(a > b for a, b in zip(m, m[1:])),
+                "variant sup gaps " + " > ".join(f"{v:.2e}" for v in m))),
+    ("normalization_symmetry", _normalization_symmetry,
+     dict(deltas=(0.0, 1.5, 20.0), coupling=None),
+     lambda m: (m["f00"] == 0.0 and m["occ_outside"] <= 0.0 and m["mass"] < 1e-12
+                and m["imag"] == 0.0 and m["exchange"] < 1e-12 and m["h_max"] <= 1.0 + 1e-12,
+                "f(0,0)=1, exchange symmetry, |h|<=1, mirrored mass 1")),
+    ("gf_identity", gf_gaps,
+     dict(deltas=(0.5, 3.0), zs=(0.3, 0.6, 0.9), ts=(0.0, 0.5, 2.0), js=(0, 1, 2, 5)),
+     lambda m: (m["margin"] <= 0.0, f"closed form vs series, worst gap {m['gap']:.3e}")),
+    ("erfc_reference", _erfc_reference,
+     dict(xs=np.linspace(0.0, 5.0, 21), zs=(1 + 2j, -0.5 + 3j, 4 - 1j)),
+     lambda m: (m["table"] <= 1e-13 and m["scaling"] < 1e-12 and m["real_axis"] < 1e-10
+                and m["conjugation"] <= 1e-10,
+                f"{m['rows']}-point reference table, scaling identity, conjugation")),
+    ("ell_profile", _ell_profile, dict(alphas=(0.5, 1.0, 2.0), ws=(0.0, 1.0, 2.0, 4.0)),
+     lambda m: (m["origin"] < 1e-8 and m["seam"] < 1e-4,
+                "ell(0)=1 grid, degenerate seam continuity")),
+    ("laplace_consistency", _laplace_consistency,
+     dict(triples=((1.0, 1.0, 1.0), (2.0, 2.0, 0.5), (1.0, 2.0, 1.0)),
+          density_pairs=((0.0, 1.0), (2.0, 0.5)),
+          regimes=(RegimeSpec.subcritical(coeff=2.0), RegimeSpec.critical(2.0),
+                   RegimeSpec.supercritical()),
+          n=10 ** 8, limit_pairs=((0.0, 0.5), (2.0, 2.0))),
+     lambda m: (m["ell_transform"] < 1e-6 and m["density"] < 1e-8 and m["limits"] <= 1e-2,
+                "ell transform == critical target; density identities; closed-form limits")),
+    ("quadrature_order", _quadrature_order, dict(tols=(1e-4, 5e-5, 2.5e-5, 1.25e-5)),
+     lambda m: (m["worst_rise"] <= 1e-15, "error nonincreasing as tol halves")),
+    ("covariance_consistency", covariance_gaps,
+     dict(n=2000, alphas=(1.0, 2.0), fd_alphas=(1.0,), limit_tol=1e-12),
+     lambda m: (m["gap"] < 1e-3 and m["fd"] < 1e-4,
+                "finite-n covariance near limit; mixed derivative of phi matches")),
+    ("mc_agreement", mc_agreement,
+     dict(delta=2.0 * math.sqrt(256), n=256, paths=20000, seed=20250809,
+          axis=(-1.0, 0.5, 2.0), k_sigma=5.0),
+     lambda m: (m["within"] == m["points"],
+                "Monte Carlo means within 5 sigma of exact on a 3x3 grid")),
 )
 
 
@@ -491,12 +598,16 @@ def run_selftest(coupling: CouplingVariant = CouplingVariant.KERNEL) -> dict:
     oracle and variant checks pin their own variants by construction.
     """
     checks = {}
-    passed = True
-    for name, fn in _SELFTEST_CHECKS:
+    for name, measure, params, verdict in _SELFTEST_CHECKS:
+        if "coupling" in params:
+            params = {**params, "coupling": coupling}
         try:
-            detail = fn(coupling)
-            checks[name] = {"passed": True, "detail": detail}
+            measured = measure(**params)
+            ok, detail = verdict(measured)
+            if not ok:
+                detail = f"{detail}; measured {measured}"
         except Exception as exc:
-            passed = False
-            checks[name] = {"passed": False, "detail": f"{type(exc).__name__}: {exc}"}
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
+        checks[name] = {"passed": bool(ok), "detail": detail}
+    passed = all(entry["passed"] for entry in checks.values())
     return {"passed": passed, "coupling": coupling.value, "checks": checks}

@@ -83,9 +83,6 @@ class WalkState:
             )
 
 
-ORIGIN = WalkState(0, 0, 0)
-
-
 def step(state: WalkState, p: StickinessParam, rng: np.random.Generator) -> WalkState:
     """Advance one step using a single uniform draw from ``rng``."""
     v = rng.random()
@@ -197,6 +194,8 @@ def simulate_endpoints(
         raise ValueError("paths must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if paths * n > _MAX_TOTAL_STEPS:
         raise CapacityError(
             f"paths * n = {paths * n} exceeds the simulation budget of {_MAX_TOTAL_STEPS}"
@@ -206,7 +205,7 @@ def simulate_endpoints(
     if n > 0:
         chunk = _chunk_paths(n)
         spans = [(lo, min(lo + chunk, paths)) for lo in range(0, paths, chunk)]
-        if workers <= 1:
+        if workers == 1:
             for lo, hi in spans:
                 _fill_chunk(x, y, p.u, n, seed, lo, hi)
         else:

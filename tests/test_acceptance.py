@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  Tolerances are pinned
-here; the few that the contract leaves to build-time calibration are marked
-with their measured values.
+Run with `pytest tests/test_acceptance.py -v -s`.  Parameters and tolerances
+are pinned here; the measurements are the ones the self-test runs
+(`stickywalk.harness`), so each cross-route check has one implementation.
+The few tolerances that the contract leaves to build-time calibration are
+marked with their measured values.
 """
 
 import math
@@ -10,30 +12,22 @@ import time
 
 import numpy as np
 
-from stickywalk import (
-    CouplingVariant,
-    RegimeSpec,
-    StickinessParam,
-    brute_force_char,
-    brute_force_h,
-    char_fn_exact,
-    covariance_limit,
-    diag_fourier_sequence,
-    ell,
-    ell_laplace_numeric,
-    erfc_real,
-    erfcx_complex,
-    exact_covariance,
-    gf_closed_form,
-    gf_series,
-    laplace_empirical,
-    laplace_target,
-    limit_cf,
-    limit_params,
-    phi_critical,
-    series_truncation,
-    simulate_endpoints,
+from stickywalk.harness import (
+    SweepConfig,
+    covariance_gaps,
+    ell_origin_gap,
+    ell_transform_gaps,
+    gf_gaps,
+    laplace_limit_errors,
+    mc_agreement,
+    oracle_gaps,
+    run_sweep,
+    variant_sup_gaps,
+    variant_values,
+    worst_relative_error,
 )
+from stickywalk.limits import RegimeSpec
+from stickywalk.specfun import erfc_real, erfcx_complex
 
 from oracles import ERFC_TABLE, ERFCX_STRIP_TABLE
 
@@ -51,20 +45,8 @@ def _report(num: int, name: str, ok: bool, detail: str, started: float) -> None:
 
 def test_criterion_01_oracle_equivalence():
     started = time.time()
-    worst_f = worst_h = 0.0
-    for delta in (0.0, 0.5, 1.0, 5.0, 50.0):
-        p = StickinessParam(delta)
-        for n in (1, 2, 3, 4, 6, 9, 12):
-            for s in FIVE_ANGLES:
-                for t in FIVE_ANGLES:
-                    gap = abs(char_fn_exact(p, s, t, n, CouplingVariant.KERNEL)
-                              - brute_force_char(p, s, t, n))
-                    worst_f = max(worst_f, gap)
-            for j in (0, 1, 2, 5):
-                for t in FIVE_ANGLES:
-                    gap = abs(diag_fourier_sequence(p.u, t, n, j=j)[n]
-                              - brute_force_h(p, j, t, n))
-                    worst_h = max(worst_h, gap)
+    worst_f, worst_h = oracle_gaps(deltas=(0.0, 0.5, 1.0, 5.0, 50.0), ns=(1, 2, 3, 4, 6, 9, 12),
+                                   angles=FIVE_ANGLES, js=(0, 1, 2, 5))
     ok = worst_f <= 1e-12 and worst_h <= 1e-12
     _report(1, "oracle equivalence", ok,
             f"worst |f-enum| = {worst_f:.2e}, worst |h-enum| = {worst_h:.2e} (tol 1e-12)",
@@ -73,20 +55,10 @@ def test_criterion_01_oracle_equivalence():
 
 def test_criterion_02_generating_functions():
     started = time.time()
-    worst_margin = -math.inf
-    ok = True
-    for delta in (0.5, 1.0, 5.0):
-        p = StickinessParam(delta)
-        for z in (0.3, 0.6, 0.9):
-            N = series_truncation(z, 1e-13)
-            bound = z ** (N + 1) / (1.0 - z) + 1e-12
-            for t in (0.0, 0.5, 2.0):
-                for j in (0, 1, 2, 5):
-                    gap = abs(gf_closed_form(p, t, z, j) - gf_series(p, t, z, j, N))
-                    worst_margin = max(worst_margin, gap - bound)
-                    ok = ok and gap <= bound
-    _report(2, "closed-form generating functions", ok,
-            f"worst (gap - tail bound) = {worst_margin:.2e} (must be <= 0)", started)
+    gaps = gf_gaps(deltas=(0.5, 1.0, 5.0), zs=(0.3, 0.6, 0.9), ts=(0.0, 0.5, 2.0),
+                   js=(0, 1, 2, 5))
+    _report(2, "closed-form generating functions", gaps["margin"] <= 0.0,
+            f"worst (gap - tail bound) = {gaps['margin']:.2e} (must be <= 0)", started)
 
 
 def test_criterion_03_laplace_regime_limits():
@@ -99,59 +71,37 @@ def test_criterion_03_laplace_regime_limits():
         RegimeSpec.critical(2.0),
         RegimeSpec.supercritical(),
     )
+    pairs = [(w, lam) for w in (0.0, 1.0, 2.0) for lam in (0.5, 1.0, 2.0)]
     ok = True
     details = []
-    for regime in regimes:
-        worst = {10**4: 0.0, 10**8: 0.0}
-        decreasing = True
-        for w in (0.0, 1.0, 2.0):
-            for lam in (0.5, 1.0, 2.0):
-                errs = {}
-                for n in (10**4, 10**8):
-                    delta = regime.delta_at(n)
-                    emp = laplace_empirical(delta, n, w, lam)
-                    if regime.kind == "subcritical":
-                        emp *= math.sqrt(n) / delta
-                    errs[n] = abs(emp - laplace_target(regime, w, lam))
-                    worst[n] = max(worst[n], errs[n])
-                decreasing = decreasing and errs[10**8] < errs[10**4]
-        ok = ok and worst[10**8] <= 1e-2 and decreasing
-        details.append(f"{regime.kind}: 1e4 -> {worst[10**4]:.4f}, 1e8 -> {worst[10**8]:.4f}")
+    # errs[pair, n] at n = 1e4, 1e8
+    for kind, errs in laplace_limit_errors(regimes, (10**4, 10**8), pairs).items():
+        worst = errs.max(axis=0)
+        decreasing = bool(np.all(errs[:, 1] < errs[:, 0]))
+        ok = ok and worst[1] <= 1e-2 and decreasing
+        details.append(f"{kind}: 1e4 -> {worst[0]:.4f}, 1e8 -> {worst[1]:.4f}")
     _report(3, "Laplace regime limits", ok,
             "; ".join(details) + " (tol 1e-2 at n=1e8, decreasing)", started)
 
 
 def test_criterion_04_ell_transform_consistency():
     started = time.time()
-    worst = 0.0
-    saw_complex = saw_degenerate = False
-    for alpha in (0.5, 1.0, 2.0):
-        for w in (0.0, 1.0, 2.0):
-            params = limit_params(alpha, w)
-            saw_complex = saw_complex or params.gamma.imag > 0.0
-            saw_degenerate = saw_degenerate or params.degenerate
-            for lam in (0.5, 1.0, 2.0):
-                got = ell_laplace_numeric(alpha, w, lam, tol=1e-9)
-                want = laplace_target(RegimeSpec.critical(alpha), w, lam)
-                worst = max(worst, abs(got - want))
-    ok = worst <= 1e-6 and saw_complex and saw_degenerate
+    axis = (0.5, 1.0, 2.0)
+    gaps = ell_transform_gaps([(alpha, w, lam) for alpha in axis for w in (0.0, 1.0, 2.0)
+                               for lam in axis])
+    ok = gaps["gap"] <= 1e-6 and gaps["complex"] and gaps["degenerate"]
     _report(4, "occupation-profile transform", ok,
-            f"worst |quad - closed form| = {worst:.2e} on 3x3x3 grid "
-            f"(complex branch: {saw_complex}, degenerate: {saw_degenerate})", started)
+            f"worst |quad - closed form| = {gaps['gap']:.2e} on 3x3x3 grid "
+            f"(complex branch: {gaps['complex']}, degenerate: {gaps['degenerate']})", started)
 
 
 def _sup_errors(regime, n_list):
-    sups = []
-    for n in n_list:
-        p = StickinessParam(regime.delta_at(n))
-        root = math.sqrt(n)
-        sup = 0.0
-        for s, t in GRID:
-            f_exact = char_fn_exact(p, s / root, t / root, n).real
-            f_limit = limit_cf(regime, s, t, tol=1e-10)
-            sup = max(sup, abs(f_exact - f_limit))
-        sups.append(sup)
-    return sups
+    """Per n, sup over GRID of |f_exact - f_limit|, read from run_sweep's rows."""
+    rows = run_sweep(SweepConfig(regime=regime, n_list=n_list, grid=GRID,
+                                 tolerances={"quad": 1e-10}))
+    assert not [row.error for row in rows if row.error]
+    # np.max, not max: a NaN error must fail the criterion, not drop out
+    return [float(np.max([row.err_exact_limit for row in rows if row.n == n])) for n in n_list]
 
 
 def test_criterion_05_critical_convergence():
@@ -182,87 +132,45 @@ def test_criterion_06_sub_and_supercritical_convergence():
 
 def test_criterion_07_covariance():
     started = time.time()
-    n = 10**4
-    worst_gap = 0.0
-    worst_fd = 0.0
-    h = 1e-3
-    for alpha in (0.5, 1.0, 2.0, 8.0):
-        exact = exact_covariance(StickinessParam(alpha * math.sqrt(n)), n) / n
-        limit = covariance_limit(alpha, tol=1e-10)
-        worst_gap = max(worst_gap, abs(exact - limit))
-        fd = (phi_critical(alpha, h, h, tol=1e-12)
-              - phi_critical(alpha, h, -h, tol=1e-12)
-              - phi_critical(alpha, -h, h, tol=1e-12)
-              + phi_critical(alpha, -h, -h, tol=1e-12)) / (4.0 * h * h)
-        worst_fd = max(worst_fd, abs(fd + limit))
-    ok = worst_gap <= 2e-2 and worst_fd <= 1e-4
+    alphas = (0.5, 1.0, 2.0, 8.0)
+    gaps = covariance_gaps(n=10**4, alphas=alphas, fd_alphas=alphas, limit_tol=1e-10)
+    ok = gaps["gap"] <= 2e-2 and gaps["fd"] <= 1e-4
     _report(7, "covariance", ok,
-            f"worst |n^-1 cov - limit| = {worst_gap:.2e} (tol 2e-2); "
-            f"worst |d2phi/dsdt + limit| = {worst_fd:.2e} (tol 1e-4)", started)
+            f"worst |n^-1 cov - limit| = {gaps['gap']:.2e} (tol 2e-2); "
+            f"worst |d2phi/dsdt + limit| = {gaps['fd']:.2e} (tol 1e-4)", started)
 
 
 def test_criterion_08_monte_carlo():
     started = time.time()
-    n, paths, seed = 1024, 10**5, 20250809
-    p = StickinessParam(2.0 * math.sqrt(n))
-    root = math.sqrt(n)
-    sample = simulate_endpoints(p, n, paths, seed, workers=1)
-    within = 0
-    for s, t in GRID:
-        proj = np.cos((s * sample.x + t * sample.y) / root)
-        f_mc = float(proj.mean())
-        stderr = float(proj.std(ddof=1)) / math.sqrt(paths)
-        f_exact = char_fn_exact(p, s / root, t / root, n).real
-        if abs(f_mc - f_exact) <= 4.0 * stderr:
-            within += 1
-    fraction = within / len(GRID)
-    reproducible = True
-    for workers in (4, 16):
-        other = simulate_endpoints(p, n, paths, seed, workers=workers)
-        reproducible = reproducible and np.array_equal(sample.x, other.x) \
-            and np.array_equal(sample.y, other.y)
-    ok = fraction >= 0.99 and reproducible
+    n = 1024
+    mc = mc_agreement(delta=2.0 * math.sqrt(n), n=n, paths=10**5, seed=20250809,
+                      axis=GRID_AXIS, k_sigma=4.0, workers=(4, 16))
+    fraction = mc["within"] / mc["points"]
+    ok = fraction >= 0.99 and mc["identical"]
     _report(8, "Monte Carlo agreement", ok,
-            f"{within}/{len(GRID)} rows within 4 stderr ({fraction:.1%}); "
-            f"bit-identical across 1/4/16 workers: {reproducible}", started)
+            f"{mc['within']}/{mc['points']} rows within 4 stderr ({fraction:.1%}); "
+            f"bit-identical across 1/4/16 workers: {mc['identical']}", started)
 
 
 def test_criterion_09_coupling_variants():
     started = time.time()
-    p = StickinessParam(0.0)
-    s = t = math.pi / 2
-    paper = char_fn_exact(p, s, t, 1, CouplingVariant.PAPER)
-    kernel = char_fn_exact(p, s, t, 1, CouplingVariant.KERNEL)
-    oracle = brute_force_char(p, s, t, 1)
-    discrimination = (abs(paper - (-0.5)) <= 1e-12 and abs(kernel - oracle) <= 1e-12
-                      and abs(oracle) <= 1e-12)
-    sups = []
-    for n in (256, 1024, 4096):
-        pn = StickinessParam(math.sqrt(n))
-        root = math.sqrt(n)
-        sup = 0.0
-        for s_, t_ in GRID:
-            fk = char_fn_exact(pn, s_ / root, t_ / root, n, CouplingVariant.KERNEL).real
-            fp = char_fn_exact(pn, s_ / root, t_ / root, n, CouplingVariant.PAPER).real
-            sup = max(sup, abs(fk - fp))
-        sups.append(sup)
+    v = variant_values(delta=0.0, s=math.pi / 2, t=math.pi / 2, n=1)
+    discrimination = (abs(v["paper"] - (-0.5)) <= 1e-12 and abs(v["kernel"] - v["oracle"]) <= 1e-12
+                      and abs(v["oracle"]) <= 1e-12)
+    sups = variant_sup_gaps(axis=GRID_AXIS, ns=(256, 1024, 4096))
     agreement = sups[0] > sups[1] > sups[2]
     ok = discrimination and agreement
     _report(9, "coupling-variant documentation", ok,
-            f"finite-n divergence at u=1: paper {paper.real:+.2f} vs oracle "
-            f"{oracle.real:+.2f}; scaled sup gaps " +
-            " > ".join(f"{v:.2e}" for v in sups), started)
+            f"finite-n divergence at u=1: paper {v['paper'].real:+.2f} vs oracle "
+            f"{v['oracle'].real:+.2f}; scaled sup gaps " +
+            " > ".join(f"{gap:.2e}" for gap in sups), started)
 
 
 def test_criterion_10_special_functions():
     started = time.time()
-    worst_erfc = max(abs(erfc_real(x) - want) / abs(want) for x, want in ERFC_TABLE)
-    worst_strip = max(abs(erfcx_complex(z) - want) / abs(want)
-                      for z, want in ERFCX_STRIP_TABLE)
-    worst_origin = 0.0
-    for alpha in (0.5, 1.0, 2.0, 8.0):
-        for w in (0.0, 1.0, 2.0, 4.0, 2.0 / alpha):
-            worst_origin = max(worst_origin, abs(ell(limit_params(alpha, w), 0.0) - 1.0))
+    worst_erfc = worst_relative_error(erfc_real, ERFC_TABLE)
+    worst_strip = worst_relative_error(erfcx_complex, ERFCX_STRIP_TABLE)
+    worst_origin = ell_origin_gap(alphas=(0.5, 1.0, 2.0, 8.0), ws=(0.0, 1.0, 2.0, 4.0))
     ok = worst_erfc <= 1e-13 and worst_strip <= 1e-8 and worst_origin <= 1e-8
     _report(10, "special functions", ok,
             f"erfc rel err {worst_erfc:.2e} (tol 1e-13, 50 pts); "

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stickywalk import (
-    CapacityError,
+from stickywalk.errors import CapacityError
+from stickywalk.exact import (
     CouplingVariant,
-    StickinessParam,
     brute_force_char,
     brute_force_h,
     char_fn_exact,
@@ -19,10 +18,9 @@ from stickywalk import (
     gf_h0_reciprocal,
     gf_point,
     gf_series,
-    h_evolve,
-    h_init,
     series_truncation,
 )
+from stickywalk.kernel import StickinessParam
 
 U2 = StickinessParam(1e300)  # u rounds to exactly 2: absorbed diagonal
 
@@ -31,33 +29,15 @@ U2 = StickinessParam(1e300)  # u rounds to exactly 2: absorbed diagonal
 # h recursion
 # ---------------------------------------------------------------------------
 
-def test_h_init():
-    for t in (0.0, math.pi / 3, -2.2):
-        state = h_init(t)
-        assert state.n == 0
-        assert state.h.shape == (1,)
-        assert state.h[0] == 1.0 + 0.0j
-
-
 @pytest.mark.parametrize("delta,t", [(0.0, 0.0), (1.0, 0.7), (5.0, -1.3), (0.5, 2.9)])
 def test_h_evolve_one_step(delta, t):
     p = StickinessParam(delta)
-    state = h_evolve(h_init(t), p.u)
-    assert state.n == 1
-    assert state.h[0] == pytest.approx(p.u * math.cos(t) / 2.0, abs=1e-15)
-    assert state.h[1] == pytest.approx((2.0 - p.u) / 4.0, abs=1e-15)
-
-
-def test_h_evolve_matches_fast_sequence():
-    p = StickinessParam(1.7)
-    t = 0.9
-    state = h_init(t)
-    for _ in range(12):
-        state = h_evolve(state, p.u)
-    for j in range(13):
-        ref = diag_fourier_sequence(p.u, t, 12, j=j)[12]
-        assert state.h[j].real == pytest.approx(ref, abs=1e-14)
-        assert state.h[j].imag == 0.0
+    h0 = diag_fourier_sequence(p.u, t, 1, j=0)
+    assert h0[0] == 1.0  # h(., t, 0) = e_0
+    assert h0[1] == pytest.approx(p.u * math.cos(t) / 2.0, abs=1e-15)
+    assert diag_fourier_sequence(p.u, t, 1, j=1)[1] == pytest.approx((2.0 - p.u) / 4.0, abs=1e-15)
+    for j in (2, 3):
+        assert diag_fourier_sequence(p.u, t, 1, j=j)[1] == 0.0
 
 
 @given(
@@ -68,12 +48,10 @@ def test_h_evolve_matches_fast_sequence():
 @settings(max_examples=60, deadline=None)
 def test_h_bounded_and_real(delta, t, n):
     p = StickinessParam(delta)
-    state = h_init(t)
-    for _ in range(n):
-        state = h_evolve(state, p.u)
-    assert np.max(np.abs(state.h.imag)) <= 1e-12
-    assert np.max(np.abs(state.h)) <= 1.0 + 1e-12
-    assert state.h.shape == (n + 1,)
+    for j in range(n + 1):
+        seq = diag_fourier_sequence(p.u, t, n, j=j)
+        assert seq.dtype == np.float64 and seq.shape == (n + 1,)
+        assert np.max(np.abs(seq)) <= 1.0 + 1e-12
 
 
 def test_h_at_zero_angle_is_a_distribution():

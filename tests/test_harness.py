@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,17 +6,17 @@ import pytest
 
 import stickywalk.harness as harness
 import stickywalk.specfun as specfun
-from stickywalk import (
-    CouplingVariant,
-    RegimeSpec,
+from stickywalk.cli import main
+from stickywalk.exact import CouplingVariant, char_fn_exact
+from stickywalk.harness import (
     SweepConfig,
-    char_fn_exact,
     run_covariance,
     run_selftest,
     run_sweep,
     write_report,
 )
-from stickywalk.cli import main
+from stickywalk.kernel import StickinessParam
+from stickywalk.limits import RegimeSpec
 
 
 def test_sweep_config_validation():
@@ -33,6 +34,8 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(regime=regime, n_list=(64,), grid=((1.0, 1.0),),
                     tolerances={"quad": 0.0})
+    with pytest.raises(ValueError):
+        SweepConfig(regime=regime, n_list=(64,), grid=((1.0, 1.0),), workers=0)
 
 
 def _small_config(paths=0):
@@ -54,8 +57,6 @@ def test_run_sweep_rows_are_recomputable():
         assert row.error == ""
         assert row.delta == pytest.approx(2.0 * math.sqrt(row.n))
         root = math.sqrt(row.n)
-        from stickywalk import StickinessParam
-
         f_exact = char_fn_exact(StickinessParam(row.delta), row.s / root, row.t / root, row.n).real
         assert row.f_exact == pytest.approx(f_exact, abs=1e-15)
         assert row.err_exact_limit == pytest.approx(abs(row.f_exact - row.f_limit), abs=1e-18)
@@ -139,10 +140,10 @@ def test_selftest_passes_for_both_couplings():
 
 
 def test_selftest_negative_control(monkeypatch):
-    corrupted = list(specfun._ERFC_REFERENCE)
-    x, v = corrupted[5]
-    corrupted[5] = (x, v * (1.0 + 1e-6))
-    monkeypatch.setattr(specfun, "_ERFC_REFERENCE", tuple(corrupted))
+    corrupted = list(specfun.ERFC_TABLE)
+    x, v = corrupted[23]
+    corrupted[23] = (x, v * (1.0 + 1e-6))
+    monkeypatch.setattr(specfun, "ERFC_TABLE", tuple(corrupted))
     report = run_selftest()
     assert not report["passed"]
     assert not report["checks"]["erfc_reference"]["passed"]
@@ -150,13 +151,43 @@ def test_selftest_negative_control(monkeypatch):
     assert report["checks"]["gf_identity"]["passed"]
 
 
+def test_selftest_fails_on_nan_gap(monkeypatch):
+    monkeypatch.setattr(harness, "gf_closed_form", lambda *args: complex(math.nan))
+    report = run_selftest()
+    assert not report["passed"]
+    assert not report["checks"]["gf_identity"]["passed"]
+    assert report["checks"]["erfc_reference"]["passed"]
+
+
+@pytest.mark.parametrize("target, measure", [
+    ("gf_series", lambda: harness.gf_gaps((0.5,), (0.3, 0.6), (0.0,), (0, 1))["margin"]),
+    ("ell_laplace_numeric", lambda: harness.ell_transform_gaps(
+        ((1.0, 1.0, 1.0), (2.0, 2.0, 0.5)))["gap"]),
+    ("exact_covariance", lambda: harness.covariance_gaps(
+        n=16, alphas=(1.0, 2.0), fd_alphas=(), limit_tol=1e-8)["gap"]),
+    ("ell", lambda: harness.ell_origin_gap(alphas=(1.0,), ws=(0.0, 1.0))),
+])
+def test_measurements_keep_nan(monkeypatch, target, measure):
+    # a NaN from any one point must survive the worst-value reduction (the
+    # built-in max would drop it), so that a tolerance verdict fails
+    calls = iter(range(10 ** 6))
+    real = getattr(harness, target)
+    monkeypatch.setattr(harness, target,
+                        lambda *a, **k: math.nan if next(calls) == 1 else real(*a, **k))
+    assert math.isnan(measure())
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
-def test_cli_exact_cf_matches_library(capsys):
-    from stickywalk import StickinessParam
+def _assert_usage_error(argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
 
+
+def test_cli_exact_cf_matches_library(capsys):
     assert main(["exact-cf", "--delta", "2", "--n", "9", "--s", "0.4", "--t", "-0.9"]) == 0
     printed = float(capsys.readouterr().out.strip())
     want = char_fn_exact(StickinessParam(2.0), 0.4, -0.9, 9).real
@@ -166,7 +197,7 @@ def test_cli_exact_cf_matches_library(capsys):
 def test_cli_limit_cf(capsys):
     assert main(["limit-cf", "--regime", "super", "--s", "1", "--t", "-1"]) == 0
     assert float(capsys.readouterr().out.strip()) == 1.0
-    assert main(["limit-cf", "--s", "1", "--t", "1"]) == 1  # missing --regime
+    _assert_usage_error(["limit-cf", "--s", "1", "--t", "1"])  # missing --regime
 
 
 def test_cli_gf_check(capsys):
@@ -192,8 +223,6 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     cfg.write_text("delta=3.5\nn=6\ns=0.2\nt=0.1\n")
     assert main(["exact-cf", "--config", str(cfg)]) == 0
     from_file = float(capsys.readouterr().out.strip())
-    from stickywalk import StickinessParam
-
     assert from_file == char_fn_exact(StickinessParam(3.5), 0.2, 0.1, 6).real
     assert main(["exact-cf", "--config", str(cfg), "--delta", "0"]) == 0
     overridden = float(capsys.readouterr().out.strip())
@@ -207,10 +236,64 @@ def test_cli_mc_roundtrip(tmp_path, capsys):
     sidecar = json.loads((tmp_path / "mc.csv.json").read_text())
     assert sidecar == {"delta": 1.0, "n": 16, "paths": 12, "seed": 5}
     assert len(out.read_text().strip().splitlines()) == 13
-    assert main(["mc", "--delta", "1", "--n", "4", "--paths", "2"]) == 1  # no --out
+    _assert_usage_error(["mc", "--delta", "1", "--n", "4", "--paths", "2"])  # no --out
+
+
+def test_cli_mc_output_bytes_pinned(tmp_path, capsys):
+    # integer endpoints from Philox streams: no libm or quadrature in the bytes
+    out = tmp_path / "mc.csv"
+    assert main(["mc", "--delta", "1", "--n", "16", "--paths", "12", "--seed", "5",
+                 "--workers", "2", "--out", str(out)]) == 0
+    sha = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+    assert sha(out) == "f86205e75049a0ee3e21634cb9a0661fbfa850bb3345ccd260152dc1d7170e09"
+    assert sha(tmp_path / "mc.csv.json") == \
+        "3713b022ddcd3b44470d9b55d6e1b65539dcbb39a18ccce37cc2fca8ea0e6228"
 
 
 def test_cli_usage_error_exits_2():
-    with pytest.raises(SystemExit) as info:
-        main(["no-such-command"])
-    assert info.value.code == 2
+    _assert_usage_error(["no-such-command"])
+
+
+def test_cli_config_format_key_is_applied(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=json\nregime=critical\nalpha=2\nn=64\ngrid=1\n")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["n"] == 64
+    assert main(["sweep", "--config", str(cfg), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("n,delta,s,t")
+
+
+def test_cli_config_unknown_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    for text, command, named in (
+        ("delta=3\nbogus=1\n", "exact-cf", "bogus"),
+        ("format=json\n", "exact-cf", "format"),  # exact-cf has no --format
+        ("regime=nonsense\n", "limit-cf", "nonsense"),  # values are checked like flags
+    ):
+        cfg.write_text(text)
+        _assert_usage_error([command, "--config", str(cfg)])
+        assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n", "64"],  # missing --regime
+    ["sweep", "--regime", "sub", "--n", "abc"],
+    ["sweep", "--regime", "critical", "--n", "64"],  # critical without --alpha
+    ["limit-cf", "--regime", "critical", "--s", "1"],
+    ["exact-cf", "--del", "2"],  # flags are not abbreviated
+])
+def test_cli_missing_or_unparsable_flag_exits_2(argv):
+    _assert_usage_error(argv)
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_workers_below_one_exits_2(workers, tmp_path):
+    _assert_usage_error(["mc", "--n", "4", "--paths", "2", "--workers", workers,
+                         "--out", str(tmp_path / "mc.csv")])
+    assert not (tmp_path / "mc.csv").exists()
+
+
+def test_cli_flags_only_where_used():
+    for argv in (["exact-cf", "--format", "json"], ["mc", "--format", "json"],
+                 ["limit-cf", "--out", "x"], ["gf-check", "--out", "x"]):
+        _assert_usage_error(argv)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from stickywalk import (
-    CapacityError,
+from stickywalk.errors import CapacityError
+from stickywalk.kernel import (
     EndpointSample,
     StickinessParam,
     WalkState,
@@ -214,3 +214,9 @@ def test_capacity_guard():
         simulate_endpoints(StickinessParam(1.0), 5, 0, seed=0)
     with pytest.raises(ValueError):
         simulate_endpoints(StickinessParam(1.0), -1, 5, seed=0)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_rejected(workers):
+    with pytest.raises(ValueError):
+        simulate_endpoints(StickinessParam(1.0), 5, 4, seed=0, workers=workers)

@@ -3,14 +3,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stickywalk import (
+from stickywalk.exact import char_fn_exact, exact_covariance
+from stickywalk.kernel import StickinessParam
+from stickywalk.limits import (
     RegimeSpec,
-    StickinessParam,
-    char_fn_exact,
     covariance_limit,
     ell,
     ell_laplace_numeric,
-    exact_covariance,
     laplace_empirical,
     laplace_numeric,
     laplace_target,
@@ -93,7 +92,7 @@ def test_ell_real_on_complex_branch():
 
 
 def test_ell_at_w_zero_is_scaled_erfcx():
-    from stickywalk import erfcx_real
+    from stickywalk.specfun import erfcx_real
 
     lp = limit_params(2.0, 0.0)
     for x in (0.0, 0.5, 1.0, 4.0):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stickywalk import QuadratureError, erfc_real, erfcx_complex, erfcx_real, integrate_01
+from stickywalk.errors import QuadratureError
+from stickywalk.specfun import erfc_real, erfcx_complex, erfcx_real, integrate_01
 
 from oracles import ERFC_ONE, ERFC_TABLE, ERFCX_I, ERFCX_STRIP_TABLE
 
