@@ -14,16 +14,11 @@ import json
 import sys
 from pathlib import Path
 
-from .exact import (
-    CouplingVariant,
-    char_fn_exact,
-    gf_closed_form,
-    gf_series,
-    series_truncation,
-)
+from .exact import CouplingVariant, char_fn_exact
 from .harness import (
     DEFAULT_GRID_AXIS,
     SweepConfig,
+    gf_check,
     run_covariance,
     run_selftest,
     run_sweep,
@@ -118,8 +113,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--workers", type=_int(1), default=1)
 
-    p = command("selftest", "run every invariant suite at pinned parameters", out=True)
-    coupling(p)
+    command("selftest", "run every invariant suite at pinned parameters", out=True)
 
     p = command("sweep", "regime sweep: exact vs Monte Carlo vs limit", out=True, fmt=True)
     regime(p)
@@ -168,7 +162,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 
 def _cmd_selftest(args) -> int:
-    report = run_selftest(_COUPLINGS[args.coupling])
+    report = run_selftest()
     for name, entry in report["checks"].items():
         status = "PASS" if entry["passed"] else "FAIL"
         print(f"[{status}] {name}: {entry['detail']}")
@@ -200,7 +194,7 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
         workers=args.workers,
         coupling=_COUPLINGS[args.coupling],
-        tolerances={"quad": args.tol},
+        quad_tol=args.tol,
     )
     return _emit(run_sweep(config), args)
 
@@ -231,14 +225,10 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_gf_check(args) -> int:
-    p = StickinessParam(args.delta)
-    N = series_truncation(args.z, args.tol)
-    closed = gf_closed_form(p, args.t, args.z, args.j)
-    series = gf_series(p, args.t, args.z, args.j, N)
-    bound = args.z ** (N + 1) / (1.0 - args.z) + 1e-12
-    gap = abs(closed - series)
-    ok = gap <= bound
-    print(f"closed={closed:.17g} series(N={N})={series:.17g} |gap|={gap:.3e} bound={bound:.3e}")
+    check = gf_check(StickinessParam(args.delta), args.t, args.z, args.j, args.tol)
+    ok = check["gap"] <= check["bound"]
+    print("closed={closed:.17g} series(N={N})={series:.17g} |gap|={gap:.3e} "
+          "bound={bound:.3e}".format(**check))
     print("OK" if ok else "MISMATCH")
     return 0 if ok else 1
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,15 +28,12 @@ from .kernel import StickinessParam
 
 __all__ = [
     "CouplingVariant",
-    "GFPoint",
     "diag_fourier_sequence",
-    "diag_occupation",
     "coupling_coefficient",
     "char_fn_exact",
     "endpoint_distribution",
     "brute_force_char",
     "brute_force_h",
-    "gf_point",
     "gf_closed_form",
     "gf_h0_reciprocal",
     "gf_series",
@@ -105,11 +101,6 @@ def _h0_prefix(u: float, t: float, n: int) -> np.ndarray:
     arr = diag_fourier_sequence(u, t, n)
     arr.setflags(write=False)
     return arr
-
-
-def diag_occupation(p: StickinessParam, n: int) -> np.ndarray:
-    """P(walks coincide at step k) for k = 0..n; entry 0 is 1."""
-    return diag_fourier_sequence(p.u, 0.0, n)
 
 
 # ---------------------------------------------------------------------------
@@ -220,29 +211,6 @@ def brute_force_h(p: StickinessParam, j: int, t: float, n: int) -> complex:
 # generating functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GFPoint:
-    """Closed-form generating-function data at one (t, z) point.
-
-    q1 and q2 are the roots of X^2 + (2 cos t - 4/z) X + 1 = 0; the H(j)
-    ladder decays geometrically in q2, and q1 q2 = 1.
-    """
-
-    t: float
-    z: float
-    H0: float
-    H1: float
-    q1: float
-    q2: float
-
-    def value(self, j: int) -> float:
-        if j < 0:
-            raise ValueError("j must be >= 0")
-        if j == 0:
-            return self.H0
-        return self.H1 * self.q2 ** (j - 1)
-
-
 def gf_h0_reciprocal(
     p: StickinessParam, t: float, z: float, one_minus_z: float | None = None
 ) -> float:
@@ -270,22 +238,23 @@ def gf_h0_reciprocal(
     return p.u_minus_one * one_minus_zc + p.two_minus_u * math.sqrt(arg)
 
 
-def gf_point(p: StickinessParam, t: float, z: float) -> GFPoint:
-    """Evaluate the closed-form generating functions at (t, z), z in (0, 1)."""
-    if not (0.0 < z < 1.0):
-        raise ValueError("z must lie in (0, 1)")
-    ct = math.cos(t)
-    H0 = 1.0 / gf_h0_reciprocal(p, t, z)
-    H1 = H0 * (2.0 / z - p.u * ct) - 2.0 / z
-    root_base = 2.0 / z - ct  # > 1 for z in (0, 1)
-    q1 = root_base + math.sqrt(root_base * root_base - 1.0)
-    q2 = 1.0 / q1
-    return GFPoint(t=float(t), z=float(z), H0=H0, H1=H1, q1=q1, q2=q2)
-
-
 def gf_closed_form(p: StickinessParam, t: float, z: float, j: int = 0) -> float:
-    """H(j, t, z) from the closed forms."""
-    return gf_point(p, t, z).value(j)
+    """H(j, t, z) from the closed forms, z in (0, 1).
+
+    H(0) = 1 / gf_h0_reciprocal and H(1) = H(0) (2/z - u cos t) - 2/z; for
+    j >= 1 the ladder decays geometrically, H(j) = H(1) q^(j-1), where q < 1
+    is the smaller root of X^2 + (2 cos t - 4/z) X + 1 = 0 (the roots
+    multiply to 1).
+    """
+    if j < 0:
+        raise ValueError("j must be >= 0")
+    ct = math.cos(t)
+    H0 = 1.0 / gf_h0_reciprocal(p, t, z)  # rejects z outside (0, 1)
+    if j == 0:
+        return H0
+    root_base = 2.0 / z - ct  # > 1 for z in (0, 1)
+    q = 1.0 / (root_base + math.sqrt(root_base * root_base - 1.0))
+    return (H0 * (2.0 / z - p.u * ct) - 2.0 / z) * q ** (j - 1)
 
 
 def gf_series(p: StickinessParam, t: float, z: float, j: int, N: int) -> float:

@@ -58,6 +58,7 @@ __all__ = [
     "rows_to_json",
     "write_report",
     "oracle_gaps",
+    "gf_check",
     "gf_gaps",
     "variant_values",
     "variant_sup_gaps",
@@ -103,7 +104,7 @@ class SweepConfig:
     seed: int = 0
     workers: int = 1
     coupling: CouplingVariant = CouplingVariant.KERNEL
-    tolerances: dict[str, float] = field(default_factory=lambda: {"quad": 1e-10})
+    quad_tol: float = 1e-10
 
     def __post_init__(self):
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
@@ -118,8 +119,8 @@ class SweepConfig:
             raise ValueError("paths must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if any(v <= 0 for v in self.tolerances.values()):
-            raise ValueError("tolerances must be positive")
+        if not self.quad_tol > 0.0:
+            raise ValueError("quad_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -150,6 +151,11 @@ class CovarianceRow:
     error: str = ""
 
 
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Monte Carlo mean of per-path values and its standard error."""
+    return float(values.mean()), float(values.std(ddof=1)) / math.sqrt(values.size)
+
+
 def run_sweep(config: SweepConfig) -> list[ReportRow]:
     """Exact / Monte Carlo / limiting characteristic-function table.
 
@@ -157,7 +163,6 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
     (s, t) respectively; per-row failures land in the error column and the run
     continues.
     """
-    quad_tol = config.tolerances.get("quad", 1e-10)
     rows: list[ReportRow] = []
     for n in config.n_list:
         delta = config.regime.delta_at(n)
@@ -169,7 +174,7 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
                 sample = simulate_endpoints(
                     p, n, config.paths, subseed(config.seed, n), workers=config.workers
                 )
-        except Exception as exc:  # pragma: no cover - defensive per-n isolation
+        except Exception as exc:
             for s, t in config.grid:
                 rows.append(ReportRow(n=n, delta=delta, s=s, t=t,
                                       error=f"{type(exc).__name__}: {exc}"))
@@ -177,12 +182,10 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
         for s, t in config.grid:
             try:
                 f_exact = char_fn_exact(p, s / root_n, t / root_n, n, config.coupling).real
-                f_limit = limit_cf(config.regime, s, t, tol=quad_tol)
+                f_limit = limit_cf(config.regime, s, t, tol=config.quad_tol)
                 f_mc = mc_stderr = err_mc = None
                 if sample is not None:
-                    proj = np.cos((s * sample.x + t * sample.y) / root_n)
-                    f_mc = float(proj.mean())
-                    mc_stderr = float(proj.std(ddof=1)) / math.sqrt(sample.paths)
+                    f_mc, mc_stderr = _mean_stderr(np.cos((s * sample.x + t * sample.y) / root_n))
                     err_mc = abs(f_mc - f_exact)
                 rows.append(ReportRow(
                     n=n, delta=delta, s=s, t=t,
@@ -214,9 +217,7 @@ def run_covariance(
             mc = mc_stderr = err_mc = None
             if paths > 0:
                 sample = simulate_endpoints(p, n, paths, subseed(seed, n), workers=workers)
-                prod = (sample.x * sample.y).astype(np.float64) / n
-                mc = float(prod.mean())
-                mc_stderr = float(prod.std(ddof=1)) / math.sqrt(sample.paths)
+                mc, mc_stderr = _mean_stderr((sample.x * sample.y).astype(np.float64) / n)
                 err_mc = abs(mc - value)
             rows.append(CovarianceRow(
                 n=int(n), delta=delta, exact=value, mc=mc, mc_stderr=mc_stderr,
@@ -293,8 +294,22 @@ def oracle_gaps(deltas, ns, angles, js) -> tuple[float, float]:
     return _worst(f_gaps), _worst(h_gaps)
 
 
+def gf_check(p: StickinessParam, t: float, z: float, j: int, tail_tol: float) -> dict:
+    """Closed-form H(j, t, z) vs its series, truncated at the smallest N whose
+    tail bound z^(N+1) / (1 - z) is below tail_tol.
+
+    "bound" is that tail bound plus 1e-12 of rounding slack; the closed form
+    and the series agree iff gap <= bound.
+    """
+    N = series_truncation(z, tail_tol)
+    closed = gf_closed_form(p, t, z, j)
+    series = gf_series(p, t, z, j, N)
+    return {"N": N, "closed": closed, "series": series, "gap": abs(closed - series),
+            "bound": z ** (N + 1) / (1.0 - z) + 1e-12}
+
+
 def gf_gaps(deltas, zs, ts, js) -> dict:
-    """Closed-form H(j, t, z) vs its series, truncated where the tail is below 1e-13.
+    """gf_check at tail_tol 1e-13 over a grid.
 
     "margin" is the worst gap minus its bound; the bound holds iff margin <= 0.
     """
@@ -302,13 +317,11 @@ def gf_gaps(deltas, zs, ts, js) -> dict:
     for delta in deltas:
         p = StickinessParam(delta)
         for z in zs:
-            N = series_truncation(z, 1e-13)
-            bound = z ** (N + 1) / (1.0 - z) + 1e-12
             for t in ts:
                 for j in js:
-                    gap = abs(gf_closed_form(p, t, z, j) - gf_series(p, t, z, j, N))
-                    gaps.append(gap)
-                    margins.append(gap - bound)
+                    check = gf_check(p, t, z, j, 1e-13)
+                    gaps.append(check["gap"])
+                    margins.append(check["gap"] - check["bound"])
     return {"gap": _worst(gaps), "margin": _worst(margins, floor=-math.inf)}
 
 
@@ -399,10 +412,9 @@ def mc_agreement(delta: float, n: int, paths: int, seed: int, axis=(), k_sigma: 
     within = 0
     for s in axis:
         for t in axis:
-            proj = np.cos((s * sample.x + t * sample.y) / rn)
-            stderr = float(proj.std(ddof=1)) / math.sqrt(paths)
+            mean, stderr = _mean_stderr(np.cos((s * sample.x + t * sample.y) / rn))
             f_exact = char_fn_exact(p, s / rn, t / rn, n).real
-            within += abs(float(proj.mean()) - f_exact) <= k_sigma * stderr
+            within += abs(mean - f_exact) <= k_sigma * stderr
     identical = True
     for w in workers:
         other = simulate_endpoints(p, n, paths, seed, workers=w)
@@ -448,21 +460,22 @@ def _kernel_statistics(delta: float, n: int, paths: int, seed: int) -> dict:
     }
 
 
-def _normalization_symmetry(deltas, coupling) -> dict:
+def _normalization_symmetry(deltas) -> dict:
     out = {key: [] for key in ("f00", "occ_outside", "mass", "imag", "exchange", "h_max")}
     for delta in deltas:
         p = StickinessParam(delta)
         occ = diag_fourier_sequence(p.u, 0.0, 23)
-        out["f00"].append(abs(char_fn_exact(p, 0.0, 0.0, 23, coupling) - 1.0))
         out["occ_outside"] += (-float(occ.min()), float(occ.max()) - 1.0)
         # full-line mass: h(j, 0, n) = P(half-distance = j), mirrored over +-j
         for n in (5, 23):
             hj = [diag_fourier_sequence(p.u, 0.0, n, j=j)[n] for j in range(n + 1)]
             out["mass"].append(abs(hj[0] + 2.0 * sum(hj[1:]) - 1.0))
-        for s, t in ((0.3, -1.2), (2.0, 0.7)):
-            a = char_fn_exact(p, s, t, 17, coupling)
-            out["imag"].append(abs(a.imag))
-            out["exchange"].append(abs(a - char_fn_exact(p, t, s, 17, coupling)))
+        for coupling in CouplingVariant:
+            out["f00"].append(abs(char_fn_exact(p, 0.0, 0.0, 23, coupling) - 1.0))
+            for s, t in ((0.3, -1.2), (2.0, 0.7)):
+                a = char_fn_exact(p, s, t, 17, coupling)
+                out["imag"].append(abs(a.imag))
+                out["exchange"].append(abs(a - char_fn_exact(p, t, s, 17, coupling)))
         out["h_max"].append(float(np.max(np.abs(diag_fourier_sequence(p.u, 1.1, 64)))))
     return {key: _worst(values) for key, values in out.items()}
 
@@ -526,7 +539,7 @@ def _quadrature_order(tols) -> dict:
 # ---------------------------------------------------------------------------
 
 # (name, measurement, self-test parameters, verdict on the measured value ->
-# (passed, detail)).  A "coupling" parameter takes run_selftest's coupling.
+# (passed, detail)).
 _SELFTEST_CHECKS: tuple[tuple[str, Callable, dict, Callable], ...] = (
     ("kernel_unit", _kernel_unit,
      dict(row_deltas=(0.0, 0.3, 1.0, 10.0, 1e6),
@@ -553,10 +566,10 @@ _SELFTEST_CHECKS: tuple[tuple[str, Callable, dict, Callable], ...] = (
      lambda m: (all(a > b for a, b in zip(m, m[1:])),
                 "variant sup gaps " + " > ".join(f"{v:.2e}" for v in m))),
     ("normalization_symmetry", _normalization_symmetry,
-     dict(deltas=(0.0, 1.5, 20.0), coupling=None),
+     dict(deltas=(0.0, 1.5, 20.0)),
      lambda m: (m["f00"] == 0.0 and m["occ_outside"] <= 0.0 and m["mass"] < 1e-12
                 and m["imag"] == 0.0 and m["exchange"] < 1e-12 and m["h_max"] <= 1.0 + 1e-12,
-                "f(0,0)=1, exchange symmetry, |h|<=1, mirrored mass 1")),
+                "f(0,0)=1, exchange symmetry (both couplings), |h|<=1, mirrored mass 1")),
     ("gf_identity", gf_gaps,
      dict(deltas=(0.5, 3.0), zs=(0.3, 0.6, 0.9), ts=(0.0, 0.5, 2.0), js=(0, 1, 2, 5)),
      lambda m: (m["margin"] <= 0.0, f"closed form vs series, worst gap {m['gap']:.3e}")),
@@ -590,17 +603,14 @@ _SELFTEST_CHECKS: tuple[tuple[str, Callable, dict, Callable], ...] = (
 )
 
 
-def run_selftest(coupling: CouplingVariant = CouplingVariant.KERNEL) -> dict:
+def run_selftest() -> dict:
     """Run every invariant suite at pinned parameters.
 
-    Returns a JSON-ready summary; "passed" is the overall verdict.  The
-    coupling choice feeds the generic characteristic-function checks; the
-    oracle and variant checks pin their own variants by construction.
+    Returns a JSON-ready summary; "passed" is the overall verdict.  Checks
+    that depend on the coupling variant run both variants.
     """
     checks = {}
     for name, measure, params, verdict in _SELFTEST_CHECKS:
-        if "coupling" in params:
-            params = {**params, "coupling": coupling}
         try:
             measured = measure(**params)
             ok, detail = verdict(measured)
@@ -610,4 +620,4 @@ def run_selftest(coupling: CouplingVariant = CouplingVariant.KERNEL) -> dict:
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         checks[name] = {"passed": bool(ok), "detail": detail}
     passed = all(entry["passed"] for entry in checks.values())
-    return {"passed": passed, "coupling": coupling.value, "checks": checks}
+    return {"passed": passed, "checks": checks}

@@ -9,7 +9,12 @@ delta >= 0 tunes the stickiness.
 Sampling draws one uniform per step and partitions it into the four kernel
 intervals.  Every path owns a counter-based random stream keyed by
 (seed, path index), so simulations are bit-reproducible no matter how the
-work is chunked or how many workers run.
+work is chunked or how many workers run.  ``simulate_endpoints`` has one
+execution path for every worker count: a thread pool of ``workers`` threads
+maps one chunk function over fixed spans of path indices; each chunk
+allocates and returns its own endpoint arrays, and the chunks are joined in
+path-index order.  ``step`` is the scalar reference the chunk walk is tested
+against.
 """
 
 from __future__ import annotations
@@ -156,25 +161,23 @@ def _chunk_paths(n: int) -> int:
     return max(64, min(4096, int(4_000_000 // max(n, 1))))
 
 
-def _fill_chunk(x_out, y_out, u: float, n: int, seed: int, lo: int, hi: int) -> None:
+def _walk_chunk(u: float, n: int, seed: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints of paths lo..hi-1, each walked on its own (seed, index) stream."""
     m = hi - lo
     draws = np.empty((m, n))
     for i in range(m):
         draws[i] = path_rng(seed, lo + i).random(n)
     x = np.zeros(m, dtype=np.int64)
     y = np.zeros(m, dtype=np.int64)
-    a_diag, b_diag, c_diag = 0.25 * u, 0.5 * u, 0.25 * (2.0 + u)
     for k in range(n):
         v = draws[:, k]
-        diag = x == y
-        a = np.where(diag, a_diag, 0.25)
-        b = np.where(diag, b_diag, 0.5)
-        c = np.where(diag, c_diag, 0.75)
-        move = (v >= a).astype(np.int64) + (v >= b) + (v >= c)
+        # thresholds b/2, b, (1 + b)/2; halving is exact, so on the diagonal
+        # they equal step()'s u/4, u/2, (2 + u)/4 bit for bit
+        b = np.where(x == y, 0.5 * u, 0.5)
+        move = (v >= 0.5 * b).astype(np.int64) + (v >= b) + (v >= 0.5 * (1.0 + b))
         x += 1 - 2 * (move & 1)
         y += 1 - 2 * ((move == 1) | (move == 2))
-    x_out[lo:hi] = x
-    y_out[lo:hi] = y
+    return x, y
 
 
 def simulate_endpoints(
@@ -188,7 +191,7 @@ def simulate_endpoints(
 
     Bit-reproducible for a given (seed, paths, n, delta) regardless of
     ``workers``: each path consumes only its own (seed, index)-keyed stream,
-    and results are merged in path-index order.
+    and the chunks are joined in path-index order.
     """
     if paths < 1:
         raise ValueError("paths must be >= 1")
@@ -200,17 +203,12 @@ def simulate_endpoints(
         raise CapacityError(
             f"paths * n = {paths * n} exceeds the simulation budget of {_MAX_TOTAL_STEPS}"
         )
-    x = np.zeros(paths, dtype=np.int64)
-    y = np.zeros(paths, dtype=np.int64)
-    if n > 0:
-        chunk = _chunk_paths(n)
-        spans = [(lo, min(lo + chunk, paths)) for lo in range(0, paths, chunk)]
-        if workers == 1:
-            for lo, hi in spans:
-                _fill_chunk(x, y, p.u, n, seed, lo, hi)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(lambda span: _fill_chunk(x, y, p.u, n, seed, *span), spans))
+    chunk = _chunk_paths(n)
+    spans = [(lo, min(lo + chunk, paths)) for lo in range(0, paths, chunk)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(lambda span: _walk_chunk(p.u, n, seed, *span), spans))
+    x = np.concatenate([part[0] for part in parts])
+    y = np.concatenate([part[1] for part in parts])
     x.setflags(write=False)
     y.setflags(write=False)
     return EndpointSample(x=x, y=y, n=n, delta=p.delta, seed=seed)

@@ -98,7 +98,7 @@ def test_criterion_04_ell_transform_consistency():
 def _sup_errors(regime, n_list):
     """Per n, sup over GRID of |f_exact - f_limit|, read from run_sweep's rows."""
     rows = run_sweep(SweepConfig(regime=regime, n_list=n_list, grid=GRID,
-                                 tolerances={"quad": 1e-10}))
+                                 quad_tol=1e-10))
     assert not [row.error for row in rows if row.error]
     # np.max, not max: a NaN error must fail the criterion, not drop out
     return [float(np.max([row.err_exact_limit for row in rows if row.n == n])) for n in n_list]

@@ -11,12 +11,10 @@ from stickywalk.exact import (
     brute_force_h,
     char_fn_exact,
     diag_fourier_sequence,
-    diag_occupation,
     endpoint_distribution,
     exact_covariance,
     gf_closed_form,
     gf_h0_reciprocal,
-    gf_point,
     gf_series,
     series_truncation,
 )
@@ -83,14 +81,15 @@ def test_h_oracle_example():
 # ---------------------------------------------------------------------------
 
 def test_diag_occupation_examples():
-    assert np.all(diag_occupation(U2, 40) == 1.0)
-    occ = diag_occupation(StickinessParam(0.0), 5)
+    # h(0, 0, k) = P(walks coincide at step k)
+    assert np.all(diag_fourier_sequence(U2.u, 0.0, 40) == 1.0)
+    occ = diag_fourier_sequence(StickinessParam(0.0).u, 0.0, 5)
     assert occ[0] == 1.0
     assert occ[1] == pytest.approx(0.5, abs=1e-15)
     p = StickinessParam(3.0)
     for k in (0, 3, 8, 12):
         want = brute_force_h(p, 0, 0.0, k).real
-        assert diag_occupation(p, k)[k] == pytest.approx(want, abs=1e-12)
+        assert diag_fourier_sequence(p.u, 0.0, k)[k] == pytest.approx(want, abs=1e-12)
 
 
 def test_exact_covariance_examples():
@@ -277,13 +276,16 @@ def test_gf_series_examples():
     )
 
 
+def _assert_geometric_ladder(p, t, z):
+    # H(j) = H(1) q^(j-1) with 0 < q < 1: consecutive rungs have a common
+    # ratio, checked without dividing by H(1), which may be ~0
+    h1, h2, h3 = (gf_closed_form(p, t, z, j) for j in (1, 2, 3))
+    assert h1 * h3 == pytest.approx(h2 * h2, rel=1e-12)
+    assert abs(h2) <= abs(h1)
+
+
 def test_gf_geometric_ladder():
-    p = StickinessParam(1.0)
-    pt = gf_point(p, 0.5, 0.6)
-    assert 0.0 < pt.q2 < 1.0 < pt.q1
-    assert pt.q1 * pt.q2 == pytest.approx(1.0, abs=1e-12)
-    h3 = gf_closed_form(p, 0.5, 0.6, 3)
-    assert h3 / pt.H1 == pytest.approx(pt.q2 ** 2, rel=1e-12)
+    _assert_geometric_ladder(StickinessParam(1.0), 0.5, 0.6)
 
 
 @given(
@@ -293,9 +295,7 @@ def test_gf_geometric_ladder():
 )
 @settings(max_examples=200, deadline=None)
 def test_gf_roots_property(z, t, delta):
-    pt = gf_point(StickinessParam(delta), t, z)
-    assert 0.0 < pt.q2 < 1.0 < pt.q1
-    assert pt.q1 * pt.q2 == pytest.approx(1.0, abs=1e-12)
+    _assert_geometric_ladder(StickinessParam(delta), t, z)
 
 
 @pytest.mark.parametrize("z", [0.0, 1.0, -0.5, 1.5])

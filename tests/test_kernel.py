@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -181,6 +182,32 @@ def test_exchange_symmetry_statistics():
     diff = (sample.x - sample.y).astype(float)
     tstat = diff.mean() / (diff.std(ddof=1) / math.sqrt(diff.size))
     assert abs(tstat) <= 4.0
+
+
+def _endpoint_sha256(sample) -> str:
+    digest = hashlib.sha256()
+    digest.update(sample.x.astype("<i8").tobytes())
+    digest.update(sample.y.astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
+def test_endpoint_bytes_pinned():
+    # one chunk of 1000 paths at delta = 2 sqrt(n): the benchmark's pinned case
+    sample = simulate_endpoints(StickinessParam(64.0), 1024, 1000, seed=0)
+    assert _endpoint_sha256(sample) == \
+        "016e63c17bc5a984730cf911679b1578c828a4a6c2a21e4554964a6c8b261bba"
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("delta, want", [
+    (0.0, "5e86f179be63f1fb62b050019852172dae277933adb63d1320c9284a01850da0"),
+    (2.0, "d591c2734baee1a59f63cf3c5068453c373a9a101cc647c15163ca3e55dac815"),
+    (1e300, "a570394de947f12b9d899141001ea441ab9df2319c995bafb0b2af53a83f4051"),  # u = 2
+])
+def test_endpoint_bytes_pinned_across_chunks(delta, want, workers):
+    # 9000 paths at n = 256 span three chunks (4096, 4096, 808)
+    sample = simulate_endpoints(StickinessParam(delta), 256, 9000, seed=0, workers=workers)
+    assert _endpoint_sha256(sample) == want
 
 
 def test_determinism_and_worker_invariance():
