@@ -4,7 +4,8 @@ Subcommands: selftest, sweep, covariance, exact-cf, limit-cf, mc, gf-check.
 A flat key=value config file can supply the value of any flag its command
 takes, checked like the flag itself; explicit flags win.  Exit status: 0
 success, 1 numeric failure, 2 usage error (an unparsable, out-of-range or
-missing flag, or an unknown config key).
+missing flag, an unknown config key, or a request over the desk-scale
+budget).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import sys
 from pathlib import Path
 
+from .errors import CapacityError
 from .exact import CouplingVariant, char_fn_exact
 from .harness import (
     DEFAULT_GRID_AXIS,
@@ -111,7 +113,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     def sampler(p, paths_min: int, paths_default: int):
         p.add_argument("--paths", type=_int(paths_min), default=paths_default)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=_int(1), default=1)
 
     command("selftest", "run every invariant suite at pinned parameters", out=True)
 
@@ -192,7 +193,6 @@ def _cmd_sweep(args) -> int:
         grid=tuple((s, t) for s in args.grid for t in args.grid),
         paths=args.paths,
         seed=args.seed,
-        workers=args.workers,
         coupling=_COUPLINGS[args.coupling],
         quad_tol=args.tol,
     )
@@ -201,7 +201,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_covariance(args) -> int:
     return _emit(run_covariance(alpha=args.alpha, n_list=args.n, seed=args.seed,
-                                paths=args.paths, workers=args.workers), args)
+                                paths=args.paths), args)
 
 
 def _cmd_exact_cf(args) -> int:
@@ -217,8 +217,7 @@ def _cmd_limit_cf(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    sample = simulate_endpoints(StickinessParam(args.delta), args.n, args.paths, args.seed,
-                                workers=args.workers)
+    sample = simulate_endpoints(StickinessParam(args.delta), args.n, args.paths, args.seed)
     sample.write_csv(args.out)
     print(f"wrote {sample.paths} endpoints to {args.out}")
     return 0
@@ -259,7 +258,7 @@ def main(argv=None) -> int:
         sub.error("missing " + ", ".join(missing))
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:  # a flag value the library rejects as out of range
+    except (ValueError, CapacityError) as exc:  # out of range, or over the work budget
         sub.error(str(exc))
 
 

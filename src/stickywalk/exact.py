@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 _ENUM_MAX_N = 14
+# the h recursion costs O(n^2): about 4 s at n = 2**15 and 16 s at 2**16
+_H_MAX_N = 1 << 15
 _ENUM_CHUNK = 1 << 21
 
 
@@ -72,11 +74,18 @@ def diag_fourier_sequence(u: float, t: float, n: int, j: int = 0) -> np.ndarray:
     h(0, n+1) = (u cos t / 2) h(0, n) + (1/2) h(1, n)
     h(1, n+1) = ((2-u)/4) h(0, n) + (cos t / 2) h(1, n) + (1/4) h(2, n)
     h(j, n+1) = (1/4) h(j-1, n) + (cos t / 2) h(j, n) + (1/4) h(j+1, n), j >= 2
+
+    Raises CapacityError for n > 2**15, so every caller refuses a request
+    that would run for minutes instead of starting it.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if j < 0:
         raise ValueError("j must be >= 0")
+    if n > _H_MAX_N:
+        raise CapacityError(
+            f"the O(n^2) h recursion to n = {n} exceeds its budget (n <= {_H_MAX_N})"
+        )
     out = np.empty(n + 1)
     out[0] = 1.0 if j == 0 else 0.0
     if n == 0:
@@ -275,7 +284,7 @@ def series_truncation(z: float, tol: float) -> int:
     """Smallest N with tail bound z^(N+1) / (1 - z) <= tol."""
     if not (0.0 < z < 1.0):
         raise ValueError("z must lie in (0, 1)")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be > 0")
     N = max(0, math.ceil(math.log(tol * (1.0 - z)) / math.log(z)) - 1)
     while z ** (N + 1) / (1.0 - z) > tol:

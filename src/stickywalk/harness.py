@@ -3,7 +3,9 @@ measurements, and the self-test that runs them at pinned parameters.
 
 Reports are plain rows of floats.  Output is deterministic byte-for-byte for
 a given (config, seed): Monte Carlo substreams are derived from
-(seed, n, path index) and rows are emitted in (n, grid index) order.
+(seed, n, path index), the sampler walks them in path-index order in one
+thread (there is no worker count to set), and rows are emitted in
+(n, grid index) order.
 """
 
 from __future__ import annotations
@@ -102,7 +104,6 @@ class SweepConfig:
     grid: tuple[tuple[float, float], ...] = field(default_factory=default_grid)
     paths: int = 0
     seed: int = 0
-    workers: int = 1
     coupling: CouplingVariant = CouplingVariant.KERNEL
     quad_tol: float = 1e-10
 
@@ -117,8 +118,6 @@ class SweepConfig:
             raise ValueError("grid must be nonempty")
         if self.paths < 0:
             raise ValueError("paths must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if not self.quad_tol > 0.0:
             raise ValueError("quad_tol must be positive")
 
@@ -171,9 +170,7 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
             p = StickinessParam(delta)
             sample = None
             if config.paths > 0:
-                sample = simulate_endpoints(
-                    p, n, config.paths, subseed(config.seed, n), workers=config.workers
-                )
+                sample = simulate_endpoints(p, n, config.paths, subseed(config.seed, n))
         except Exception as exc:
             for s, t in config.grid:
                 rows.append(ReportRow(n=n, delta=delta, s=s, t=t,
@@ -199,13 +196,7 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
     return rows
 
 
-def run_covariance(
-    alpha: float,
-    n_list,
-    seed: int = 0,
-    paths: int = 0,
-    workers: int = 1,
-) -> list[CovarianceRow]:
+def run_covariance(alpha: float, n_list, seed: int = 0, paths: int = 0) -> list[CovarianceRow]:
     """Compare n^-1 E[x y] at delta = alpha sqrt(n) against its limit."""
     limit = covariance_limit(alpha)
     rows: list[CovarianceRow] = []
@@ -216,7 +207,7 @@ def run_covariance(
             value = exact_covariance(p, n) / n
             mc = mc_stderr = err_mc = None
             if paths > 0:
-                sample = simulate_endpoints(p, n, paths, subseed(seed, n), workers=workers)
+                sample = simulate_endpoints(p, n, paths, subseed(seed, n))
                 mc, mc_stderr = _mean_stderr((sample.x * sample.y).astype(np.float64) / n)
                 err_mc = abs(mc - value)
             rows.append(CovarianceRow(
@@ -397,17 +388,16 @@ def covariance_gaps(n: int, alphas, fd_alphas, limit_tol: float) -> dict:
     return {"gap": _worst(gaps), "fd": _worst(fd_gaps)}
 
 
-def mc_agreement(delta: float, n: int, paths: int, seed: int, axis=(), k_sigma: float = 4.0,
-                 workers=()) -> dict:
+def mc_agreement(delta: float, n: int, paths: int, seed: int, axis=(),
+                 k_sigma: float = 4.0) -> dict:
     """Monte Carlo vs exact f on the axis x axis grid, angles scaled by 1/sqrt(n).
 
     "within" counts grid points with |f_mc - f_exact| <= k_sigma * stderr (a
-    NaN on either side is not within); "identical" says whether every worker
-    count in ``workers`` reproduces the one-worker endpoints bit for bit;
-    "off_parity" counts endpoints whose parity differs from n's.
+    NaN on either side is not within); "off_parity" counts endpoints whose
+    parity differs from n's.
     """
     p = StickinessParam(delta)
-    sample = simulate_endpoints(p, n, paths, seed, workers=1)
+    sample = simulate_endpoints(p, n, paths, seed)
     rn = math.sqrt(n)
     within = 0
     for s in axis:
@@ -415,14 +405,8 @@ def mc_agreement(delta: float, n: int, paths: int, seed: int, axis=(), k_sigma: 
             mean, stderr = _mean_stderr(np.cos((s * sample.x + t * sample.y) / rn))
             f_exact = char_fn_exact(p, s / rn, t / rn, n).real
             within += abs(mean - f_exact) <= k_sigma * stderr
-    identical = True
-    for w in workers:
-        other = simulate_endpoints(p, n, paths, seed, workers=w)
-        identical = identical and np.array_equal(sample.x, other.x) \
-            and np.array_equal(sample.y, other.y)
     off_parity = int(np.sum(((sample.x - n) % 2 != 0) | ((sample.y - n) % 2 != 0)))
-    return {"within": within, "points": len(axis) ** 2, "identical": identical,
-            "off_parity": off_parity}
+    return {"within": within, "points": len(axis) ** 2, "off_parity": off_parity}
 
 
 def worst_relative_error(fn, table) -> float:
@@ -543,10 +527,10 @@ def _quadrature_order(tols) -> dict:
 _SELFTEST_CHECKS: tuple[tuple[str, Callable, dict, Callable], ...] = (
     ("kernel_unit", _kernel_unit,
      dict(row_deltas=(0.0, 0.3, 1.0, 10.0, 1e6),
-          delta=1.0, n=33, paths=500, seed=11, workers=(3,)),
+          delta=1.0, n=33, paths=500, seed=11),
      lambda m: (m["u_exact"] == 0.0 and m["u_limit"] < 1e-11 and m["probs_in_range"]
-                and m["row_sum"] < 1e-15 and m["off_parity"] == 0 and m["identical"],
-                "u map, kernel row sums, parity, worker invariance")),
+                and m["row_sum"] < 1e-15 and m["off_parity"] == 0,
+                "u map, kernel row sums, parity")),
     ("kernel_statistics", _kernel_statistics, dict(delta=2.0, n=64, paths=20000, seed=7),
      lambda m: (m["mean_sigmas"] <= 4.0 and m["split_sigmas"] <= 4.0,
                 "marginal means, exchange symmetry "

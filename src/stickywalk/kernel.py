@@ -9,19 +9,16 @@ delta >= 0 tunes the stickiness.
 Sampling draws one uniform per step and partitions it into the four kernel
 intervals.  Every path owns a counter-based random stream keyed by
 (seed, path index), so simulations are bit-reproducible no matter how the
-work is chunked or how many workers run.  ``simulate_endpoints`` has one
-execution path for every worker count: a thread pool of ``workers`` threads
-maps one chunk function over fixed spans of path indices; each chunk
-allocates and returns its own endpoint arrays, and the chunks are joined in
-path-index order.  ``step`` is the scalar reference the chunk walk is tested
-against.
+work is chunked.  ``simulate_endpoints`` walks fixed spans of path indices
+one after another in path-index order; each chunk allocates and returns its
+own endpoint arrays, and the chunks are joined.  ``step`` is the scalar
+reference the chunk walk is tested against.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -189,9 +186,13 @@ def simulate_endpoints(
 ) -> EndpointSample:
     """Sample ``paths`` independent endpoints after ``n`` steps from the origin.
 
-    Bit-reproducible for a given (seed, paths, n, delta) regardless of
-    ``workers``: each path consumes only its own (seed, index)-keyed stream,
-    and the chunks are joined in path-index order.
+    Bit-reproducible for a given (seed, paths, n, delta): each path consumes
+    only its own (seed, index)-keyed stream, and the chunks are joined in
+    path-index order.
+
+    ``workers`` is ignored (values below 1 are still rejected): threads over
+    the chunks never ran faster than one.  It stays only while the benchmark
+    in ``perfbench/`` still passes it.
     """
     if paths < 1:
         raise ValueError("paths must be >= 1")
@@ -205,8 +206,7 @@ def simulate_endpoints(
         )
     chunk = _chunk_paths(n)
     spans = [(lo, min(lo + chunk, paths)) for lo in range(0, paths, chunk)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda span: _walk_chunk(p.u, n, seed, *span), spans))
+    parts = [_walk_chunk(p.u, n, seed, lo, hi) for lo, hi in spans]
     x = np.concatenate([part[0] for part in parts])
     y = np.concatenate([part[1] for part in parts])
     x.setflags(write=False)

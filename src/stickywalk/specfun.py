@@ -117,7 +117,7 @@ def integrate_01(
     into a smooth integrand.  Deterministic; raises QuadratureError with the
     achieved error estimate if the tolerance cannot be met.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be > 0")
     if singular_sqrt_at_zero:
         g = lambda y: 2.0 * y * f(y * y)

@@ -219,6 +219,18 @@ def test_brute_force_capacity():
         brute_force_h(StickinessParam(1.0), -1, 0.1, 3)
 
 
+@pytest.mark.parametrize("call", [
+    lambda p: diag_fourier_sequence(p.u, 0.1, 2**15 + 1),
+    lambda p: char_fn_exact(p, 0.1, 0.1, 10**6),
+    lambda p: exact_covariance(p, 10**6),
+    lambda p: gf_series(p, 0.1, 0.99999, 0, series_truncation(0.99999, 1e-12)),
+])
+def test_h_recursion_capacity(call):
+    # O(n^2) work: refused up front instead of running for minutes
+    with pytest.raises(CapacityError):
+        call(StickinessParam(1.0))
+
+
 def test_endpoint_distribution_is_a_distribution():
     table = endpoint_distribution(1.0, 6)
     assert table.shape == (13, 13)

@@ -34,8 +34,6 @@ def test_sweep_config_validation():
     for quad_tol in (0.0, -1e-10, math.nan):
         with pytest.raises(ValueError):
             SweepConfig(regime=regime, n_list=(64,), grid=((1.0, 1.0),), quad_tol=quad_tol)
-    with pytest.raises(ValueError):
-        SweepConfig(regime=regime, n_list=(64,), grid=((1.0, 1.0),), workers=0)
 
 
 def test_sweep_config_rejects_tolerances_dict():
@@ -261,7 +259,7 @@ def test_cli_mc_output_bytes_pinned(tmp_path, capsys):
     # integer endpoints from Philox streams: no libm or quadrature in the bytes
     out = tmp_path / "mc.csv"
     assert main(["mc", "--delta", "1", "--n", "16", "--paths", "12", "--seed", "5",
-                 "--workers", "2", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     sha = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
     assert sha(out) == "f86205e75049a0ee3e21634cb9a0661fbfa850bb3345ccd260152dc1d7170e09"
     assert sha(tmp_path / "mc.csv.json") == \
@@ -287,6 +285,7 @@ def test_cli_config_unknown_key_exits_2(tmp_path, capsys):
         ("delta=3\nbogus=1\n", "exact-cf", "bogus"),
         ("format=json\n", "exact-cf", "format"),  # exact-cf has no --format
         ("regime=nonsense\n", "limit-cf", "nonsense"),  # values are checked like flags
+        ("workers=2\n", "mc", "workers"),  # the sampler has no worker count
     ):
         cfg.write_text(text)
         _assert_usage_error([command, "--config", str(cfg)])
@@ -299,20 +298,27 @@ def test_cli_config_unknown_key_exits_2(tmp_path, capsys):
     ["sweep", "--regime", "critical", "--n", "64"],  # critical without --alpha
     ["limit-cf", "--regime", "critical", "--s", "1"],
     ["exact-cf", "--del", "2"],  # flags are not abbreviated
+    ["limit-cf", "--regime", "critical", "--alpha", "1", "--s", "1", "--t", "1", "--tol", "nan"],
+    ["gf-check", "--tol", "nan"],
 ])
 def test_cli_missing_or_unparsable_flag_exits_2(argv):
     _assert_usage_error(argv)
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_cli_workers_below_one_exits_2(workers, tmp_path):
-    _assert_usage_error(["mc", "--n", "4", "--paths", "2", "--workers", workers,
-                         "--out", str(tmp_path / "mc.csv")])
-    assert not (tmp_path / "mc.csv").exists()
+@pytest.mark.parametrize("argv", [
+    ["gf-check", "--z", "0.99999", "--tol", "1e-12"],  # O(N^2) series with N ~ 4e6
+    ["mc", "--n", "1000000", "--paths", "100000", "--out", "x.csv"],  # paths * n over 2**31
+])
+def test_cli_over_budget_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _assert_usage_error(argv)
+    assert "budget" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_flags_only_where_used():
     for argv in (["exact-cf", "--format", "json"], ["mc", "--format", "json"],
                  ["limit-cf", "--out", "x"], ["gf-check", "--out", "x"],
-                 ["selftest", "--coupling", "paper"]):
+                 ["selftest", "--coupling", "paper"], ["sweep", "--workers", "2"],
+                 ["covariance", "--workers", "2"], ["mc", "--workers", "2"]):
         _assert_usage_error(argv)

@@ -128,5 +128,6 @@ def test_integrate_failure_reports_estimate():
 
 
 def test_integrate_bad_tol():
-    with pytest.raises(ValueError):
-        integrate_01(lambda x: 1.0, tol=0.0)
+    for tol in (0.0, math.nan):  # NaN would pass a `tol <= 0` check
+        with pytest.raises(ValueError):
+            integrate_01(lambda x: 1.0, tol=tol)
