@@ -155,12 +155,28 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1)) / math.sqrt(values.size)
 
 
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _exact_cell(config: SweepConfig, p: StickinessParam, n: int, s: float, t: float):
+    """(f_exact, f_limit) at one grid point, or the exception that stopped it."""
+    root_n = math.sqrt(n)
+    try:
+        return (char_fn_exact(p, s / root_n, t / root_n, n, config.coupling).real,
+                limit_cf(config.regime, s, t, tol=config.quad_tol))
+    except Exception as exc:
+        return exc
+
+
 def run_sweep(config: SweepConfig) -> list[ReportRow]:
     """Exact / Monte Carlo / limiting characteristic-function table.
 
     The exact engine and the limit are evaluated at (s/sqrt(n), t/sqrt(n)) and
     (s, t) respectively; per-row failures land in the error column and the run
-    continues.
+    continues.  The exact cells of each n come first, and its Monte Carlo
+    sample is drawn only if one of them succeeded, so an n the exact side
+    refuses costs no simulation.
     """
     rows: list[ReportRow] = []
     for n in config.n_list:
@@ -168,31 +184,29 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
         root_n = math.sqrt(n)
         try:
             p = StickinessParam(delta)
+            cells = [_exact_cell(config, p, n, s, t) for s, t in config.grid]
             sample = None
-            if config.paths > 0:
+            if config.paths > 0 and not all(isinstance(c, Exception) for c in cells):
                 sample = simulate_endpoints(p, n, config.paths, subseed(config.seed, n))
         except Exception as exc:
-            for s, t in config.grid:
-                rows.append(ReportRow(n=n, delta=delta, s=s, t=t,
-                                      error=f"{type(exc).__name__}: {exc}"))
+            rows.extend(ReportRow(n=n, delta=delta, s=s, t=t, error=_error_text(exc))
+                        for s, t in config.grid)
             continue
-        for s, t in config.grid:
-            try:
-                f_exact = char_fn_exact(p, s / root_n, t / root_n, n, config.coupling).real
-                f_limit = limit_cf(config.regime, s, t, tol=config.quad_tol)
-                f_mc = mc_stderr = err_mc = None
-                if sample is not None:
-                    f_mc, mc_stderr = _mean_stderr(np.cos((s * sample.x + t * sample.y) / root_n))
-                    err_mc = abs(f_mc - f_exact)
-                rows.append(ReportRow(
-                    n=n, delta=delta, s=s, t=t,
-                    f_exact=f_exact, f_mc=f_mc, f_limit=f_limit,
-                    err_exact_limit=abs(f_exact - f_limit),
-                    err_mc_exact=err_mc, mc_stderr=mc_stderr,
-                ))
-            except Exception as exc:
-                rows.append(ReportRow(n=n, delta=delta, s=s, t=t,
-                                      error=f"{type(exc).__name__}: {exc}"))
+        for (s, t), cell in zip(config.grid, cells):
+            if isinstance(cell, Exception):
+                rows.append(ReportRow(n=n, delta=delta, s=s, t=t, error=_error_text(cell)))
+                continue
+            f_exact, f_limit = cell
+            f_mc = mc_stderr = err_mc = None
+            if sample is not None:
+                f_mc, mc_stderr = _mean_stderr(np.cos((s * sample.x + t * sample.y) / root_n))
+                err_mc = abs(f_mc - f_exact)
+            rows.append(ReportRow(
+                n=n, delta=delta, s=s, t=t,
+                f_exact=f_exact, f_mc=f_mc, f_limit=f_limit,
+                err_exact_limit=abs(f_exact - f_limit),
+                err_mc_exact=err_mc, mc_stderr=mc_stderr,
+            ))
     return rows
 
 
@@ -215,8 +229,7 @@ def run_covariance(alpha: float, n_list, seed: int = 0, paths: int = 0) -> list[
                 limit=limit, err_exact_limit=abs(value - limit), err_mc_exact=err_mc,
             ))
         except Exception as exc:
-            rows.append(CovarianceRow(n=int(n), delta=delta,
-                                      error=f"{type(exc).__name__}: {exc}"))
+            rows.append(CovarianceRow(n=int(n), delta=delta, error=_error_text(exc)))
     return rows
 
 
@@ -601,7 +614,7 @@ def run_selftest() -> dict:
             if not ok:
                 detail = f"{detail}; measured {measured}"
         except Exception as exc:
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
+            ok, detail = False, _error_text(exc)
         checks[name] = {"passed": bool(ok), "detail": detail}
     passed = all(entry["passed"] for entry in checks.values())
     return {"passed": passed, "checks": checks}

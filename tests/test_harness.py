@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import stickywalk.exact as exact
 import stickywalk.harness as harness
 import stickywalk.specfun as specfun
 from stickywalk.cli import main
@@ -123,6 +124,31 @@ def test_run_sweep_isolates_per_n_failures():
     for row in rows:
         assert row.error.startswith("CapacityError: paths * n")
         assert row.f_exact is None and row.f_mc is None and row.f_limit is None
+
+
+def test_run_sweep_skips_simulation_the_exact_side_refuses(monkeypatch):
+    # the h recursion refuses n over its budget; no sample is drawn for that
+    # n, but the n before it is still simulated
+    calls = []
+    real = harness.simulate_endpoints
+
+    def counting(p, n, paths, seed):
+        calls.append(n)
+        return real(p, n, paths, seed)
+
+    monkeypatch.setattr(harness, "simulate_endpoints", counting)
+    big = 2 * exact._H_MAX_N
+    config = SweepConfig(regime=RegimeSpec.critical(2.0), n_list=(64, big),
+                         grid=((1.0, 1.0), (0.5, -1.0)), paths=100)
+    rows = run_sweep(config)
+    assert calls == [64]
+    assert [(r.n, r.s, r.t) for r in rows] == [
+        (64, 1.0, 1.0), (64, 0.5, -1.0), (big, 1.0, 1.0), (big, 0.5, -1.0)
+    ]
+    assert all(r.error == "" and r.f_mc is not None for r in rows[:2])
+    for row in rows[2:]:
+        assert row.error.startswith("CapacityError: the O(n^2) h recursion")
+        assert row.f_exact is None and row.f_mc is None
 
 
 def test_run_covariance_columns():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from stickywalk.kernel import (
     EndpointSample,
     StickinessParam,
     WalkState,
+    _chunk_draws,
+    _walk_draws,
     path_rng,
     simulate_endpoints,
     step,
@@ -207,6 +210,41 @@ def test_endpoint_bytes_pinned_across_chunks(delta, want):
     # 9000 paths at n = 256 span three chunks (4096, 4096, 808)
     sample = simulate_endpoints(StickinessParam(delta), 256, 9000, seed=0)
     assert _endpoint_sha256(sample) == want
+
+
+@pytest.mark.parametrize("n, want", [
+    (1, "f45568e2209b00aa173e0272d6063d9463d2887ff4deffff8315ae499a11dd0f"),
+    (33, "d931e55a4b49c6de41fca7473c762d8d81edf83631cee3795a25dd72b6a0d201"),
+])
+def test_endpoint_bytes_pinned_short_paths_top_seed(n, want):
+    # 5000 paths span two chunks; seed 2**64 - 5 sets the top key bits
+    sample = simulate_endpoints(StickinessParam(2.0), n, 5000, seed=2**64 - 5)
+    assert _endpoint_sha256(sample) == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 33])
+@pytest.mark.parametrize("seed", [0, -1, 2**63, 2**64 - 1, 2**70 + 3])
+def test_chunk_draws_equal_path_streams(n, seed):
+    # the re-keyed chunk stream is each path's own stream: keys masked to
+    # 64 bits, counter and buffer reset per path, two transpose blocks
+    lo, hi = 1000, 1300
+    draws = _chunk_draws(n, seed, lo, hi)
+    assert draws.shape == (n, hi - lo)
+    for i in range(hi - lo):
+        assert np.array_equal(draws[:, i], path_rng(seed, lo + i).random(n))
+
+
+def test_chunk_peak_memory_is_its_draws():
+    # one full chunk at n = 1024: 4096 paths of draws are 32 MiB; no second
+    # chunk-sized array (a whole-chunk transpose would double it)
+    n, paths = 1024, 4096
+    tracemalloc.start()
+    try:
+        _walk_draws(StickinessParam(64.0).u, _chunk_draws(n, 0, 0, paths))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * paths
 
 
 def test_determinism():
