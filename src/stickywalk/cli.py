@@ -4,8 +4,8 @@ Subcommands: selftest, sweep, covariance, exact-cf, limit-cf, mc, gf-check.
 A flat key=value config file can supply the value of any flag its command
 takes, checked like the flag itself; explicit flags win.  Exit status: 0
 success, 1 numeric failure, 2 usage error (an unparsable, out-of-range or
-missing flag, an unknown config key, or a request over the desk-scale
-budget).
+missing flag, a flag the command would ignore, an unknown config key, or a
+request over the desk-scale budget).
 """
 
 from __future__ import annotations
@@ -256,6 +256,8 @@ def main(argv=None) -> int:
         missing.append("--alpha (the critical regime needs it)")
     if missing:
         sub.error("missing " + ", ".join(missing))
+    if getattr(args, "regime", None) not in (None, "critical") and args.alpha is not None:
+        sub.error("--alpha applies only to --regime critical")
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, CapacityError) as exc:  # out of range, or over the work budget

@@ -5,8 +5,10 @@ Two independent computation routes are kept deliberately separate:
 * a one-step recursion for the diagonal Fourier sequence h(j, t, n), which
   yields the full characteristic function f(s, t, n) in O(n^2), plus closed
   forms for the generating functions H(j, t, z) = sum_n h(j, t, n) z^n;
-* a 4**n enumeration of move sequences (with the diagonal-dependent weights)
-  that serves as a brute-force oracle for small n.
+* an enumeration of all 4**n move sequences (with the diagonal-dependent
+  weights) that serves as a brute-force oracle for small n.  It is split at
+  n // 2, meet in the middle: each sequence is still one term, and the cost
+  is about 4**n pairs + (a+1)*(n-a)*4**(n-a) suffix steps with a = n // 2.
 
 h(j, t, n) is the Fourier transform, in the center coordinate a, of the
 probability that the pair sits at (a - j, a + j).  The one-step recursion has
@@ -151,14 +153,45 @@ def char_fn_exact(
 # enumeration oracle
 # ---------------------------------------------------------------------------
 
+def _walk_all(steps: int, d0: int, w_together: float, w_apart: float):
+    """Displacement (dx, dy) and weight of each of the 4**steps move sequences.
+
+    Sequence i takes move (i >> 2k) & 3 at step k: 0 = (+1, +1) and
+    1 = (-1, -1) move together, 2 = (+1, -1) and 3 = (-1, +1) move apart.  The
+    walk starts at offset x - y = d0; a step weighs w_together or w_apart when
+    it starts on the diagonal and 1/4 off it, so the weight depends on the
+    start only through d0.
+    """
+    idx = np.arange(1 << (2 * steps), dtype=np.int64)
+    dx = np.zeros_like(idx)
+    dy = np.zeros_like(idx)
+    wt = np.ones(idx.shape[0])
+    for k in range(steps):
+        move = (idx >> (2 * k)) & 3
+        diag = dx - dy == -d0
+        together = move < 2
+        wt *= np.where(diag, np.where(together, w_together, w_apart), 0.25)
+        dx += 1 - 2 * (move & 1)
+        dy += 1 - 2 * ((move == 1) | (move == 2))
+    return dx, dy, wt
+
+
 @lru_cache(maxsize=32)
 def endpoint_distribution(delta: float, n: int) -> np.ndarray:
-    """Exact endpoint law at step n by weighing all 4**n move sequences.
+    """Exact endpoint law at step n as a sum over all 4**n move sequences.
 
-    Returns a read-only (2n+1, 2n+1) array indexed [x + n, y + n].  Each move
-    sequence is materialised and walked, with per-step weights depending on
-    the diagonal visits along the way, so this is independent of the Fourier
-    recursion.  Cost 4**n, hence the hard cap on n.
+    Returns a read-only (2n+1, 2n+1) array indexed [x + n, y + n].  Each
+    sequence is split at a = n // 2 (meet in the middle, Horowitz & Sahni,
+    J. ACM 21, 1974).  The 4**a prefixes are walked once from the origin.  A
+    suffix's weight depends only on its start offset d = x - y, and from -d
+    the x <-> y mirror of a suffix meets the diagonal at the same steps, so
+    the 4**(n-a) suffixes are walked once from each |d| = 0, 2, .., 2a.  Every
+    prefix is then paired with every suffix from its offset: each sequence is
+    still one term, weight prefix * suffix at endpoint prefix end + suffix
+    displacement, and no two histories are merged.  Cost about 4**n pairs +
+    (a+1)*(n-a)*4**(n-a) suffix steps, accumulated by bincount in chunks of
+    at most _ENUM_CHUNK pairs, hence the hard cap on n.  This is independent
+    of the Fourier recursion.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -168,27 +201,25 @@ def endpoint_distribution(delta: float, n: int) -> np.ndarray:
         )
     u = StickinessParam(delta).u
     size = 2 * n + 1
+    weights = (0.25 * u, 0.25 * (2.0 - u))
+    a = n // 2
+    px, py, prefix_wt = _walk_all(a, 0, *weights)
+    prefix_flat = (px + n) * size + (py + n)
+    prefix_off = px - py
+    suffix_wt = {}
+    for d in range(0, 2 * a + 1, 2):
+        sx, sy, suffix_wt[d] = _walk_all(n - a, d, *weights)
+    suffix_flat = sx * size + sy
+    mirror_flat = sy * size + sx  # the suffixes from -d
+    rows = _ENUM_CHUNK // sx.shape[0]  # >= 128 prefixes: 4**(n - a) <= 4**7
     table = np.zeros(size * size)
-    if n == 0:
-        table[n * size + n] = 1.0
-    else:
-        w_together = 0.25 * u
-        w_apart = 0.25 * (2.0 - u)
-        total = 1 << (2 * n)
-        for lo in range(0, total, _ENUM_CHUNK):
-            hi = min(lo + _ENUM_CHUNK, total)
-            idx = np.arange(lo, hi, dtype=np.uint64)
-            x = np.zeros(hi - lo, dtype=np.int64)
-            y = np.zeros(hi - lo, dtype=np.int64)
-            wt = np.ones(hi - lo)
-            for k in range(n):
-                move = ((idx >> np.uint64(2 * k)) & np.uint64(3)).astype(np.int64)
-                diag = x == y
-                together = move < 2
-                wt *= np.where(diag, np.where(together, w_together, w_apart), 0.25)
-                x += 1 - 2 * (move & 1)
-                y += 1 - 2 * ((move == 1) | (move == 2))
-            flat = (x + n) * size + (y + n)
+    for d in range(-2 * a, 2 * a + 1, 2):  # every even offset occurs
+        sel = prefix_off == d
+        p_flat, p_wt = prefix_flat[sel], prefix_wt[sel]
+        s_flat = suffix_flat if d >= 0 else mirror_flat
+        for lo in range(0, p_flat.shape[0], rows):
+            flat = (p_flat[lo : lo + rows, None] + s_flat).ravel()
+            wt = (p_wt[lo : lo + rows, None] * suffix_wt[abs(d)]).ravel()
             table += np.bincount(flat, weights=wt, minlength=size * size)
     table = table.reshape(size, size)
     table.setflags(write=False)

@@ -18,7 +18,10 @@ from stickywalk.exact import (
     gf_series,
     series_truncation,
 )
+from stickywalk.harness import oracle_gaps
 from stickywalk.kernel import StickinessParam
+
+from oracles import literal_endpoint_law
 
 U2 = StickinessParam(1e300)  # u rounds to exactly 2: absorbed diagonal
 
@@ -229,6 +232,26 @@ def test_h_recursion_capacity(call):
     # O(n^2) work: refused up front instead of running for minutes
     with pytest.raises(CapacityError):
         call(StickinessParam(1.0))
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, 50.0, 1e300])
+def test_endpoint_distribution_matches_literal_enumeration(delta):
+    # odd n splits unevenly (a = n // 2 < n - a); delta 1e300 is U2, apart weight 0
+    u = StickinessParam(delta).u
+    for n in range(7):
+        want = np.zeros((2 * n + 1, 2 * n + 1))
+        for (x, y), prob in literal_endpoint_law(u, n).items():
+            want[x + n, y + n] = prob
+        gap = np.max(np.abs(endpoint_distribution(delta, n) - want))
+        assert gap <= 1e-15, (delta, n, gap)
+
+
+@pytest.mark.parametrize("delta", [1.0, 50.0])
+def test_oracle_equivalence_at_enumeration_cap(delta):
+    # n = 14 is the largest enumeration the oracle allows
+    worst_f, worst_h = oracle_gaps(deltas=(delta,), ns=(14,), angles=(-2.0, 0.5, 1.3),
+                                   js=(0, 1, 2))
+    assert worst_f <= 1e-12 and worst_h <= 1e-12, (worst_f, worst_h)
 
 
 def test_endpoint_distribution_is_a_distribution():

@@ -312,6 +312,7 @@ def test_cli_config_unknown_key_exits_2(tmp_path, capsys):
         ("format=json\n", "exact-cf", "format"),  # exact-cf has no --format
         ("regime=nonsense\n", "limit-cf", "nonsense"),  # values are checked like flags
         ("workers=2\n", "mc", "workers"),  # the sampler has no worker count
+        ("regime=sub\nalpha=3\n", "limit-cf", "--alpha applies only"),  # known, but sub ignores it
     ):
         cfg.write_text(text)
         _assert_usage_error([command, "--config", str(cfg)])
@@ -326,6 +327,8 @@ def test_cli_config_unknown_key_exits_2(tmp_path, capsys):
     ["exact-cf", "--del", "2"],  # flags are not abbreviated
     ["limit-cf", "--regime", "critical", "--alpha", "1", "--s", "1", "--t", "1", "--tol", "nan"],
     ["gf-check", "--tol", "nan"],
+    ["limit-cf", "--regime", "sub", "--alpha", "3"],  # --alpha would be ignored
+    ["sweep", "--regime", "super", "--alpha", "3"],
 ])
 def test_cli_missing_or_unparsable_flag_exits_2(argv):
     _assert_usage_error(argv)
