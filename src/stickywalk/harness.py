@@ -116,6 +116,8 @@ class SweepConfig:
             raise ValueError("n_list entries must be >= 1")
         if not self.grid:
             raise ValueError("grid must be nonempty")
+        if not all(math.isfinite(v) for point in self.grid for v in point):
+            raise ValueError("grid angles must be finite")
         if self.paths < 0:
             raise ValueError("paths must be >= 0")
         if not self.quad_tol > 0.0:
@@ -159,12 +161,10 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _exact_cell(config: SweepConfig, p: StickinessParam, n: int, s: float, t: float):
-    """(f_exact, f_limit) at one grid point, or the exception that stopped it."""
-    root_n = math.sqrt(n)
+def _limit_cell(config: SweepConfig, s: float, t: float):
+    """f_limit at one grid point, or the exception that stopped it."""
     try:
-        return (char_fn_exact(p, s / root_n, t / root_n, n, config.coupling).real,
-                limit_cf(config.regime, s, t, tol=config.quad_tol))
+        return limit_cf(config.regime, s, t, tol=config.quad_tol)
     except Exception as exc:
         return exc
 
@@ -174,29 +174,32 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
 
     The exact engine and the limit are evaluated at (s/sqrt(n), t/sqrt(n)) and
     (s, t) respectively; per-row failures land in the error column and the run
-    continues.  The exact cells of each n come first, and its Monte Carlo
-    sample is drawn only if one of them succeeded, so an n the exact side
+    continues.  The limit does not depend on n, so each grid point's limit is
+    computed once; a limit that raises fails only that point's rows.  Each n
+    makes one exact call for the whole grid first, and its Monte Carlo sample
+    is drawn only if some row of that n can succeed, so an n the exact side
     refuses costs no simulation.
     """
+    limits = [_limit_cell(config, s, t) for s, t in config.grid]
+    s_axis, t_axis = np.array(config.grid).T
     rows: list[ReportRow] = []
     for n in config.n_list:
         delta = config.regime.delta_at(n)
         root_n = math.sqrt(n)
         try:
             p = StickinessParam(delta)
-            cells = [_exact_cell(config, p, n, s, t) for s, t in config.grid]
+            exact = char_fn_exact(p, s_axis / root_n, t_axis / root_n, n, config.coupling)
             sample = None
-            if config.paths > 0 and not all(isinstance(c, Exception) for c in cells):
+            if config.paths > 0 and not all(isinstance(f, Exception) for f in limits):
                 sample = simulate_endpoints(p, n, config.paths, subseed(config.seed, n))
         except Exception as exc:
             rows.extend(ReportRow(n=n, delta=delta, s=s, t=t, error=_error_text(exc))
                         for s, t in config.grid)
             continue
-        for (s, t), cell in zip(config.grid, cells):
-            if isinstance(cell, Exception):
-                rows.append(ReportRow(n=n, delta=delta, s=s, t=t, error=_error_text(cell)))
+        for (s, t), f_exact, f_limit in zip(config.grid, exact.real.tolist(), limits):
+            if isinstance(f_limit, Exception):
+                rows.append(ReportRow(n=n, delta=delta, s=s, t=t, error=_error_text(f_limit)))
                 continue
-            f_exact, f_limit = cell
             f_mc = mc_stderr = err_mc = None
             if sample is not None:
                 f_mc, mc_stderr = _mean_stderr(np.cos((s * sample.x + t * sample.y) / root_n))
@@ -284,17 +287,25 @@ def _worst(values, floor: float = 0.0) -> float:
     return float(np.max([floor, *values]))
 
 
+def _grid_axes(axis) -> tuple[np.ndarray, np.ndarray]:
+    """s and t of the axis x axis grid, row-major, as two arrays."""
+    values = np.asarray(axis, dtype=np.float64)
+    return np.repeat(values, values.size), np.tile(values, values.size)
+
+
 def oracle_gaps(deltas, ns, angles, js) -> tuple[float, float]:
     """Worst |f - enumeration| and worst |h(j) - enumeration| (kernel coupling)."""
     f_gaps, h_gaps = [], []
+    s_grid, t_grid = _grid_axes(angles)
     for delta in deltas:
         p = StickinessParam(delta)
         for n in ns:
-            f_gaps += (abs(char_fn_exact(p, s, t, n, CouplingVariant.KERNEL)
-                           - brute_force_char(p, s, t, n))
-                       for s in angles for t in angles)
-            h_gaps += (abs(diag_fourier_sequence(p.u, t, n, j=j)[n] - brute_force_h(p, j, t, n))
-                       for j in js for t in angles)
+            f = char_fn_exact(p, s_grid, t_grid, n, CouplingVariant.KERNEL)
+            f_gaps += (abs(value - brute_force_char(p, s, t, n))
+                       for s, t, value in zip(s_grid.tolist(), t_grid.tolist(), f))
+            for j in js:
+                h = diag_fourier_sequence(p.u, angles, n, j=j)[:, n]
+                h_gaps += (abs(value - brute_force_h(p, j, t, n)) for t, value in zip(angles, h))
     return _worst(f_gaps), _worst(h_gaps)
 
 
@@ -343,13 +354,13 @@ def variant_sup_gaps(axis, ns) -> list[float]:
     """Per n, sup over the axis x axis grid of |f_kernel - f_paper| at
     delta = sqrt(n) and angles scaled by 1/sqrt(n)."""
     sups = []
+    s_grid, t_grid = _grid_axes(axis)
     for n in ns:
         p = StickinessParam(math.sqrt(n))
         rn = math.sqrt(n)
-        sups.append(_worst(
-            abs(char_fn_exact(p, s / rn, t / rn, n, CouplingVariant.KERNEL).real
-                - char_fn_exact(p, s / rn, t / rn, n, CouplingVariant.PAPER).real)
-            for s in axis for t in axis))
+        kernel = char_fn_exact(p, s_grid / rn, t_grid / rn, n, CouplingVariant.KERNEL).real
+        paper = char_fn_exact(p, s_grid / rn, t_grid / rn, n, CouplingVariant.PAPER).real
+        sups.append(_worst(np.abs(kernel - paper)))
     return sups
 
 
@@ -412,12 +423,12 @@ def mc_agreement(delta: float, n: int, paths: int, seed: int, axis=(),
     p = StickinessParam(delta)
     sample = simulate_endpoints(p, n, paths, seed)
     rn = math.sqrt(n)
+    s_grid, t_grid = _grid_axes(axis)
+    exact = char_fn_exact(p, s_grid / rn, t_grid / rn, n).real
     within = 0
-    for s in axis:
-        for t in axis:
-            mean, stderr = _mean_stderr(np.cos((s * sample.x + t * sample.y) / rn))
-            f_exact = char_fn_exact(p, s / rn, t / rn, n).real
-            within += abs(mean - f_exact) <= k_sigma * stderr
+    for s, t, f_exact in zip(s_grid.tolist(), t_grid.tolist(), exact.tolist()):
+        mean, stderr = _mean_stderr(np.cos((s * sample.x + t * sample.y) / rn))
+        within += abs(mean - f_exact) <= k_sigma * stderr
     off_parity = int(np.sum(((sample.x - n) % 2 != 0) | ((sample.y - n) % 2 != 0)))
     return {"within": within, "points": len(axis) ** 2, "off_parity": off_parity}
 

@@ -211,7 +211,12 @@ def phi_critical(alpha: float, s: float, t: float, tol: float = 1e-10) -> float:
 
 
 def limit_cf(regime: RegimeSpec, s: float, t: float, tol: float = 1e-10) -> float:
-    """Limiting characteristic function of the rescaled endpoint under the regime."""
+    """Limiting characteristic function of the rescaled endpoint under the regime.
+
+    Non-finite angles raise ValueError in every regime.
+    """
+    if not (math.isfinite(s) and math.isfinite(t)):
+        raise ValueError(f"angles must be finite, got s = {s!r}, t = {t!r}")
     if regime.kind == "subcritical":
         return math.exp(-0.5 * (s * s + t * t))
     if regime.kind == "supercritical":

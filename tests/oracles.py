@@ -5,10 +5,14 @@ evaluation of the defining integrals (arbitrary-precision erfc), then
 rounded to the nearest double.  The erfc table lives in the package, where
 the self-test also reads it.  ``literal_endpoint_law`` is a slow pure-Python
 enumeration of the walk, one move sequence at a time.
+``per_angle_h_sequence`` is the h recursion as it ran before it stepped all
+angles together: one angle, every cell of the support carried.
 """
 
 import itertools
 import math
+
+import numpy as np
 
 from stickywalk.specfun import ERFC_TABLE  # erfc on 50 equispaced points of [-6, 6]
 
@@ -97,3 +101,34 @@ def literal_endpoint_law(u: float, n: int) -> dict[tuple[int, int], float]:
             y += dy
         terms.setdefault((x, y), []).append(weight)
     return {end: math.fsum(weights) for end, weights in terms.items()}
+
+
+def per_angle_h_sequence(u: float, t: float, n: int, j: int = 0) -> np.ndarray:
+    """h(j, t, k) for k = 0..n, one angle at a time, every cell j <= k carried.
+
+    The package's recursion before it stepped a batch of angles on one buffer
+    and stopped carrying cells below the smallest normal double; kept verbatim
+    (without the package's budget check on n) as the reference its output
+    bytes are compared with.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if j < 0:
+        raise ValueError("j must be >= 0")
+    out = np.empty(n + 1)
+    out[0] = 1.0 if j == 0 else 0.0
+    if n == 0:
+        return out
+    ct = math.cos(t)
+    cur = np.zeros(n + 4)
+    nxt = np.zeros(n + 4)
+    cur[0] = 1.0
+    for k in range(1, n + 1):
+        # support after step k is j <= k; entries beyond stay zero in both buffers
+        nxt[0] = 0.5 * (u * ct * cur[0] + cur[1])
+        nxt[1] = 0.25 * ((2.0 - u) * cur[0] + cur[2]) + 0.5 * ct * cur[1]
+        if k >= 2:
+            nxt[2 : k + 1] = 0.25 * (cur[1:k] + cur[3 : k + 2]) + 0.5 * ct * cur[2 : k + 1]
+        out[k] = nxt[j] if j <= k else 0.0
+        cur, nxt = nxt, cur
+    return out

@@ -21,7 +21,7 @@ from stickywalk.exact import (
 from stickywalk.harness import oracle_gaps
 from stickywalk.kernel import StickinessParam
 
-from oracles import literal_endpoint_law
+from oracles import literal_endpoint_law, per_angle_h_sequence
 
 U2 = StickinessParam(1e300)  # u rounds to exactly 2: absorbed diagonal
 
@@ -77,6 +77,54 @@ def test_h_oracle_example():
     want = brute_force_h(p, 0, 0.7, 10)
     assert got == pytest.approx(want.real, abs=1e-12)
     assert abs(want.imag) <= 1e-12
+
+
+# cos t = 0 and t = pi included; at n = 1500 some angles decay to subnormal h
+_MATCH_ANGLES = (0.0, 1e-3, math.pi / 2, math.pi, -2.0,
+                 *np.random.default_rng(20241).uniform(-math.pi, math.pi, 4).tolist())
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.7, 5.0, 300.0, 1e6])
+def test_h_matches_per_angle_recursion_bytes(delta):
+    # the batched recursion, and its one-angle case, against the per-angle
+    # recursion that carries every cell: same bytes, not just close
+    u = StickinessParam(delta).u
+    for j in (0, 1, 3):
+        # the reference is causal: its n = 200 output is its n = 1500 output cut
+        want = [per_angle_h_sequence(u, t, 1500, j) for t in _MATCH_ANGLES]
+        for n in (1500, 200):
+            batch = diag_fourier_sequence(u, _MATCH_ANGLES, n, j=j)
+            assert batch.shape == (len(_MATCH_ANGLES), n + 1)
+            for t, got, ref in zip(_MATCH_ANGLES, batch, want):
+                assert got.tobytes() == ref[: n + 1].tobytes(), (n, j, t)
+        # one angle alone is the one-column batch (n = 200 here, for time)
+        for t, ref in zip(_MATCH_ANGLES, want):
+            assert diag_fourier_sequence(u, t, 200, j=j).tobytes() == ref[:201].tobytes(), (j, t)
+
+
+@pytest.mark.parametrize("t, j, n", [
+    (math.pi / 2, 0, 2500),  # every cell decays like 2**-k, subnormal past k ~ 1000
+    (0.0, 600, 1500),  # h(600, .) sits next to the frontier, where cells are dropped
+])
+def test_h_frontier_error_bound(t, j, n):
+    # a dropped frontier cell is below tiny, and at most one goes per step
+    u = StickinessParam(5.0).u
+    got = diag_fourier_sequence(u, t, n, j=j)
+    want = per_angle_h_sequence(u, t, n, j)
+    assert np.max(np.abs(got - want)) <= 2 * n * np.finfo(np.float64).tiny
+
+
+def test_h_angle_shapes_and_validation():
+    u = StickinessParam(2.0).u
+    assert diag_fourier_sequence(u, 0.4, 5).shape == (6,)
+    assert diag_fourier_sequence(u, [0.4], 5).shape == (1, 6)
+    assert diag_fourier_sequence(u, np.array([0.4, -1.0, 0.4]), 0, j=2).shape == (3, 1)
+    assert diag_fourier_sequence(u, [], 5).shape == (0, 6)
+    for bad in (math.nan, math.inf, [0.1, -math.inf], [0.2, math.nan]):
+        with pytest.raises(ValueError):
+            diag_fourier_sequence(u, bad, 5)
+    with pytest.raises(ValueError):
+        diag_fourier_sequence(u, [[0.1, 0.2]], 5)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +192,39 @@ def test_char_normalization_and_symmetry():
             assert a.imag == 0.0
             assert abs(a - b) <= 1e-12
             assert abs(a) <= 1.0 + 1e-12
+
+
+def test_char_fn_exact_array_equals_scalar_calls():
+    p = StickinessParam(7.0)
+    # repeated points and (s, t) / (t, s) pairs share one s + t row
+    s = np.array([0.3, -1.1, 0.0, 2.0, 0.3, -0.3, 0.25])
+    t = np.array([-0.3, 0.4, 0.0, -2.5, -0.3, 0.3, 0.0])
+    for n in (0, 1, 40):
+        for variant in CouplingVariant:
+            got = char_fn_exact(p, s, t, n, variant)
+            assert got.dtype == np.complex128 and got.shape == s.shape
+            for a, b, value in zip(s.tolist(), t.tolist(), got):
+                want = char_fn_exact(p, a, b, n, variant)
+                assert type(want) is complex
+                assert value == want, (n, variant, a, b)
+    assert char_fn_exact(p, [0.2, -1.0], (0.5, 0.1), 9).shape == (2,)
+    assert char_fn_exact(p, [], [], 5).shape == (0,)
+
+
+@pytest.mark.parametrize("s, t", [
+    (math.nan, 0.1), (0.1, math.inf), (-math.inf, 0.0), ([0.1, math.nan], [0.2, 0.3]),
+])
+def test_char_fn_exact_rejects_non_finite_angles(s, t):
+    for n in (0, 4):
+        with pytest.raises(ValueError):
+            char_fn_exact(StickinessParam(1.0), s, t, n)
+
+
+def test_char_fn_exact_rejects_mismatched_angles():
+    p = StickinessParam(1.0)
+    for s, t in (([0.1, 0.2], [0.3]), (0.1, [0.3]), ([[0.1]], [[0.2]])):
+        with pytest.raises(ValueError):
+            char_fn_exact(p, s, t, 4)
 
 
 def test_oracle_equivalence_grid():

@@ -2,13 +2,14 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 import stickywalk.exact as exact
 import stickywalk.harness as harness
 import stickywalk.specfun as specfun
 from stickywalk.cli import main
-from stickywalk.exact import char_fn_exact
+from stickywalk.exact import CouplingVariant, char_fn_exact
 from stickywalk.harness import (
     SweepConfig,
     run_covariance,
@@ -18,6 +19,8 @@ from stickywalk.harness import (
 )
 from stickywalk.kernel import StickinessParam
 from stickywalk.limits import RegimeSpec
+
+from oracles import per_angle_h_sequence
 
 
 def test_sweep_config_validation():
@@ -32,6 +35,9 @@ def test_sweep_config_validation():
         SweepConfig(regime=regime, n_list=(64,), grid=())
     with pytest.raises(ValueError):
         SweepConfig(regime=regime, n_list=(64,), grid=((1.0, 1.0),), paths=-1)
+    for grid in (((math.nan, 1.0),), ((1.0, 1.0), (0.5, math.inf)), ((-math.inf, 0.0),)):
+        with pytest.raises(ValueError):
+            SweepConfig(regime=regime, n_list=(64,), grid=grid)
     for quad_tol in (0.0, -1e-10, math.nan):
         with pytest.raises(ValueError):
             SweepConfig(regime=regime, n_list=(64,), grid=((1.0, 1.0),), quad_tol=quad_tol)
@@ -110,6 +116,42 @@ def test_run_sweep_isolates_row_failures(monkeypatch):
     assert len(bad) == 2 and all(r.s == 0.5 for r in bad)
     assert all("RuntimeError" in r.error for r in bad)
     assert len(good) == 2 and all(r.f_exact is not None for r in good)
+
+
+def _per_point_char_fn(p, s, t, n, variant=CouplingVariant.KERNEL):
+    """char_fn_exact as it ran before: one per-angle h recursion per point."""
+    values = []
+    for a, b in zip(s.tolist(), t.tolist()):
+        cc = math.cos(a) * math.cos(b)
+        h0 = per_angle_h_sequence(p.u, a + b, n - 1)
+        powers = cc ** np.arange(n - 1, -1, -1, dtype=np.float64)
+        values.append(cc ** n + exact.coupling_coefficient(p, a, b, variant) * float(powers @ h0))
+    return np.array(values, dtype=np.complex128)
+
+
+def test_run_sweep_bytes_match_per_point_recursion(monkeypatch):
+    axis = (-2.0, 0.5, 1.0)
+    config = SweepConfig(regime=RegimeSpec.critical(1.37), n_list=(64, 300),
+                         grid=tuple((s, t) for s in axis for t in axis), paths=300, seed=5)
+    batched = write_report(run_sweep(config), fmt="csv")
+    monkeypatch.setattr(harness, "char_fn_exact", _per_point_char_fn)
+    assert write_report(run_sweep(config), fmt="csv") == batched
+
+
+def test_run_sweep_computes_each_limit_once(monkeypatch):
+    calls = []
+    real = harness.limit_cf
+
+    def counting(regime, s, t, tol=1e-10):
+        calls.append((s, t))
+        return real(regime, s, t, tol=tol)
+
+    monkeypatch.setattr(harness, "limit_cf", counting)
+    config = SweepConfig(regime=RegimeSpec.critical(2.0), n_list=(16, 32, 64),
+                         grid=((1.0, 1.0), (0.5, -1.0)))
+    rows = run_sweep(config)
+    assert calls == list(config.grid)
+    assert [row.f_limit for row in rows[:2]] * 3 == [row.f_limit for row in rows]
 
 
 def test_run_sweep_isolates_per_n_failures():
@@ -332,6 +374,19 @@ def test_cli_config_unknown_key_exits_2(tmp_path, capsys):
 ])
 def test_cli_missing_or_unparsable_flag_exits_2(argv):
     _assert_usage_error(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--regime", "critical", "--alpha", "2", "--n", "64", "--grid", "nan,1"],
+    ["sweep", "--regime", "sub", "--n", "64", "--grid", "inf"],
+    ["exact-cf", "--delta", "2", "--n", "9", "--s", "nan"],
+    ["exact-cf", "--delta", "2", "--n", "0", "--t=-inf"],
+    ["limit-cf", "--regime", "sub", "--s", "nan"],
+    ["limit-cf", "--regime", "critical", "--alpha", "1", "--s", "1", "--t", "inf"],
+])
+def test_cli_non_finite_angle_exits_2(argv, capsys):
+    _assert_usage_error(argv)
+    assert "must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

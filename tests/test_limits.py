@@ -202,6 +202,15 @@ def test_limit_cf_values():
     assert limit_cf(RegimeSpec.subcritical(), 1.0, 1.0) == pytest.approx(math.exp(-1.0))
 
 
+@pytest.mark.parametrize("regime", [
+    RegimeSpec.subcritical(), RegimeSpec.critical(1.5), RegimeSpec.supercritical(),
+])
+def test_limit_cf_rejects_non_finite_angles(regime):
+    for s, t in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)):
+        with pytest.raises(ValueError):
+            limit_cf(regime, s, t)
+
+
 def test_limit_cf_interpolates_to_subcritical():
     axis = (-2.0, -1.0, 1.0, 2.0)
     regime = RegimeSpec.critical(0.05)
