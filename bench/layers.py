@@ -1,0 +1,132 @@
+"""Time each layer of the stickywalk checkout this script sits in, one at a time.
+
+    python bench/layers.py [--repeats N] [--before FILE] [--out FILE]
+
+Each row is the median wall time, in seconds, of ``--repeats`` runs, at
+delta = 2 sqrt(n) unless it says otherwise:
+
+- ``draws n=N`` and ``walk n=N``: one full chunk of the sampler
+  (``kernel._chunk_paths(n)`` paths, seed 7) at n = 33, 256 and 1024, its
+  draws built, then those draws walked;
+- ``simulate_endpoints``: n = 1024, 2e4 paths, seed 7, mc-critical's shape;
+- ``h one angle n=N`` and ``h batch n=N``: the h recursion at n = 1024, 4096
+  and 16384, for the middle one and for all of the 15 distinct
+  (s + t) / sqrt(n) of the default sweep grid; every batch row must equal its
+  one-angle call byte for byte, or the script stops;
+- ``char_fn_exact grid``: the 36 points of that grid at n = 4096, with the h0
+  cache cleared;
+- ``endpoint_distribution``: the enumeration oracle at n = 12, its cache
+  cleared;
+- ``limit_cf grid``: the 36 ``phi_critical`` quadratures of one default-grid
+  sweep at alpha = 2.
+
+To compare two checkouts, run each one's own copy and pass the first one's
+output to the second with ``--before``: it is embedded, with the before/after
+ratio of every row both runs timed.  Output is JSON on stdout or ``--out``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SEED = 7
+
+
+def median_s(fn, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def measure(repeats: int) -> dict:
+    import numpy as np
+    import scipy
+    from stickywalk import exact, kernel
+    from stickywalk.harness import default_grid
+    from stickywalk.limits import RegimeSpec, limit_cf
+
+    def param(n):
+        return kernel.StickinessParam(2.0 * math.sqrt(n))
+
+    rows = {}
+    for n in (33, 256, 1024):
+        u, paths = param(n).u, kernel._chunk_paths(n)
+        draws = kernel._chunk_draws(n, SEED, 0, paths)
+        rows[f"draws n={n}"] = median_s(lambda: kernel._chunk_draws(n, SEED, 0, paths), repeats)
+        rows[f"walk n={n}"] = median_s(lambda: kernel._walk_draws(u, draws), repeats)
+        del draws
+    rows["simulate_endpoints n=1024 paths=20000"] = median_s(
+        lambda: kernel.simulate_endpoints(param(1024), 1024, 20_000, SEED), repeats)
+
+    grid = default_grid()
+    for n in (1024, 4096, 16384):
+        u = param(n).u
+        angles = sorted({(s + t) / math.sqrt(n) for s, t in grid})
+        for a, row in zip(angles, exact.diag_fourier_sequence(u, angles, n)):
+            if row.tobytes() != exact.diag_fourier_sequence(u, a, n).tobytes():
+                raise SystemExit(f"h batch row at angle {a}, n = {n} differs from its one-angle call")
+        middle = angles[len(angles) // 2]
+        rows[f"h one angle n={n}"] = median_s(lambda: exact.diag_fourier_sequence(u, middle, n), repeats)
+        rows[f"h batch n={n}"] = median_s(lambda: exact.diag_fourier_sequence(u, angles, n), repeats)
+
+    s_axis, t_axis = np.array(grid).T / math.sqrt(4096)
+
+    def cf_grid():
+        exact._h0_prefix.cache_clear()
+        exact.char_fn_exact(param(4096), s_axis, t_axis, 4096)
+
+    def enumeration():
+        exact.endpoint_distribution.cache_clear()
+        exact.endpoint_distribution(param(12).delta, 12)
+
+    critical = RegimeSpec.critical(2.0)
+    rows["char_fn_exact grid n=4096"] = median_s(cf_grid, repeats)
+    rows["endpoint_distribution n=12"] = median_s(enumeration, repeats)
+    rows["limit_cf grid alpha=2"] = median_s(lambda: [limit_cf(critical, s, t) for s, t in grid],
+                                             repeats)
+    return {
+        "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                "numpy": np.__version__, "scipy": scipy.__version__},
+        "repeats": repeats,
+        "s": rows,
+    }
+
+
+def ratios(before: dict, after: dict) -> dict:
+    """before / after of every row both runs timed: above 1 means ``after`` is faster."""
+    return {row: before["s"][row] / s for row, s in after["s"].items() if row in before["s"]}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--before", type=Path, help="an earlier run's JSON output")
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(SRC))
+    result = measure(args.repeats)
+    if args.before:
+        before = json.loads(args.before.read_text())
+        result = {"before": before, "after": result, "before_over_after": ratios(before, result)}
+    text = json.dumps(result, indent=1) + "\n"
+    if args.out:
+        args.out.write_text(text)
+    else:
+        print(text, end="")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

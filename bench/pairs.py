@@ -10,17 +10,32 @@ last line of output is the JSON result.  The summary gives, per end-to-end
 metric of the parent's ``BENCHMARK.json``, each side's median and quartiles
 and in how many pairs the change was better (ties count for neither), and
 each side's failed and attempted checks; every run's metrics are kept.
-Output is JSON on stdout or ``--out``.  Needs only the standard library.
+Before the first run it exits 2, naming the files, if ``BENCHMARK.json`` or
+any ``perfbench/*.py`` differs between the two checkouts, since each side
+runs its own copy.  Output is JSON on stdout or ``--out``.  Needs only the
+standard library.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+
+def benchmark_differences(parent: Path, change: Path) -> list[str]:
+    """The benchmark files whose sha256 differs between two checkouts, or that one lacks."""
+    names = {"BENCHMARK.json"} | {f"perfbench/{path.name}" for checkout in (parent, change)
+                                  for path in (checkout / "perfbench").glob("*.py")}
+
+    def digest(path: Path) -> str | None:
+        return hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
+
+    return sorted(name for name in names if digest(parent / name) != digest(change / name))
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -63,6 +78,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
+    differ = benchmark_differences(args.parent, args.change)
+    if differ:
+        parser.error("the checkouts run different benchmarks: " + ", ".join(differ))
     metrics = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):

@@ -131,15 +131,15 @@ class RegimeSpec:
         if self.kind not in REGIME_KINDS:
             raise ValueError(f"kind must be one of {REGIME_KINDS}, got {self.kind!r}")
         if self.kind == "critical":
-            if self.alpha is None or not (self.alpha > 0):
-                raise ValueError("critical regime needs alpha > 0")
+            if self.alpha is None or not (math.isfinite(self.alpha) and self.alpha > 0):
+                raise ValueError(f"critical regime needs a finite alpha > 0, got {self.alpha!r}")
             return
         exponent = self.exponent
         if exponent is None:
             exponent = 0.25 if self.kind == "subcritical" else 1.0
             object.__setattr__(self, "exponent", exponent)
-        if not (self.coeff > 0):
-            raise ValueError("coeff must be > 0")
+        if not (math.isfinite(self.coeff) and self.coeff > 0):
+            raise ValueError(f"coeff must be finite and > 0, got {self.coeff!r}")
         if self.kind == "subcritical" and not (0.0 < exponent < 0.5):
             raise ValueError("subcritical needs exponent in (0, 1/2) so delta_n -> inf below sqrt(n)")
         if self.kind == "supercritical" and not (exponent > 0.5):
@@ -203,9 +203,9 @@ def phi_critical(alpha: float, s: float, t: float, tol: float = 1e-10) -> float:
     """
     theta = 0.5 * (s * s + t * t)
     gauss = math.exp(-theta)
+    params = limit_params(alpha, s + t)  # checks alpha on the shortcut too
     if s == 0.0 or t == 0.0:
         return gauss
-    params = limit_params(alpha, s + t)
     weighted = integrate_01(lambda x: math.exp(theta * x) * ell(params, x), tol=tol)
     return gauss * (1.0 - t * s * weighted)
 
@@ -230,8 +230,8 @@ def covariance_limit(alpha: float, tol: float = 1e-8) -> float:
     integral_0^1 exp(4 v / alpha^2) erfc(2 sqrt(v) / alpha) dv, evaluated as
     integral_0^1 erfcx(2 sqrt(v) / alpha) dv.  Value in (0, 1).
     """
-    if not (alpha > 0.0):
-        raise ValueError("alpha must be > 0")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
     return integrate_01(
         lambda v: erfcx_real(2.0 * math.sqrt(v) / alpha),
         singular_sqrt_at_zero=True,

@@ -1,0 +1,65 @@
+"""The pure parts of the bench/ scripts: pair summaries, the benchmark guard, layer ratios."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+pairs = _load("pairs")
+layers = _load("layers")
+
+
+def _runs(values):
+    return [{"metrics": {"job_s": {"value": v}, "work_per_s": {"value": 1.0 / v}},
+             "failed": 0, "attempted": 4} for v in values]
+
+
+def test_summarise_ties_count_for_neither_side_and_quartiles_are_inclusive():
+    metrics = [{"name": "job_s", "unit": "s", "better": "lower"},
+               {"name": "work_per_s", "unit": "1/s", "better": "higher"}]
+    runs = {"parent": _runs([1.0, 2.0, 3.0, 4.0, 5.0]), "change": _runs([1.0, 1.0, 4.0, 4.0, 4.0])}
+    out = pairs.summarise(metrics, runs)
+    # pairs: tie, better, worse, tie, better
+    assert out["job_s"]["change_better_in"] == "2/5"
+    assert out["work_per_s"]["change_better_in"] == "2/5"
+    assert out["job_s"]["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}  # exclusive: 1.5, 4.5
+    assert out["failed_of_attempted.change"] == [0, 20]
+
+
+def _checkout(root, run_py="print(1)\n"):
+    (root / "perfbench").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text('{"end_to_end": []}\n')
+    (root / "perfbench" / "run.py").write_text(run_py)
+    return root
+
+
+def test_pairs_refuses_checkouts_with_different_benchmarks(tmp_path, capsys):
+    parent = _checkout(tmp_path / "parent")
+    change = _checkout(tmp_path / "change")
+    assert pairs.benchmark_differences(parent, change) == []
+    (change / "perfbench" / "run.py").write_text("print(2)\n")
+    (change / "perfbench" / "extra.py").write_text("")
+    (change / "perfbench" / "notes.txt").write_text("not part of the benchmark")
+    assert pairs.benchmark_differences(parent, change) == ["perfbench/extra.py", "perfbench/run.py"]
+    with pytest.raises(SystemExit) as info:
+        pairs.main(["--parent", str(parent), "--change", str(change), "--workload", "w"])
+    assert info.value.code == 2
+    assert "perfbench/extra.py, perfbench/run.py" in capsys.readouterr().err
+    (change / "BENCHMARK.json").write_text("{}\n")
+    assert "BENCHMARK.json" in pairs.benchmark_differences(parent, change)
+
+
+def test_layer_ratios_cover_the_rows_both_runs_timed():
+    before = {"s": {"walk n=33": 2.0, "h batch n=1024": 0.5, "gone": 1.0}}
+    after = {"s": {"walk n=33": 1.0, "h batch n=1024": 1.0, "new": 3.0}}
+    assert layers.ratios(before, after) == {"walk n=33": 2.0, "h batch n=1024": 0.5}

@@ -371,6 +371,9 @@ def test_cli_config_unknown_key_exits_2(tmp_path, capsys):
     ["gf-check", "--tol", "nan"],
     ["limit-cf", "--regime", "sub", "--alpha", "3"],  # --alpha would be ignored
     ["sweep", "--regime", "super", "--alpha", "3"],
+    ["sweep", "--regime", "critical", "--alpha", "inf", "--n", "4", "--grid", "1"],
+    ["covariance", "--alpha", "inf", "--n", "10"],
+    ["limit-cf", "--regime", "critical", "--alpha", "inf"],
 ])
 def test_cli_missing_or_unparsable_flag_exits_2(argv):
     _assert_usage_error(argv)

@@ -164,6 +164,13 @@ def test_regime_spec_validation():
         RegimeSpec(kind="supercritical", exponent=0.5)
     with pytest.raises(ValueError):
         RegimeSpec(kind="weird")
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            RegimeSpec.critical(bad)
+        with pytest.raises(ValueError):
+            RegimeSpec.subcritical(coeff=bad)
+        with pytest.raises(ValueError):
+            RegimeSpec.supercritical(coeff=bad)
     assert RegimeSpec.subcritical().delta_at(16) == 2.0
     assert RegimeSpec.critical(2.0).delta_at(16) == 8.0
     assert RegimeSpec.supercritical().delta_at(16) == 16.0
@@ -173,6 +180,9 @@ def test_phi_vanishing_product_shortcut():
     for s in (0.0, 0.5, 2.0):
         assert phi_critical(1.0, s, 0.0) == pytest.approx(math.exp(-0.5 * s * s), abs=1e-15)
         assert phi_critical(1.0, 0.0, s) == pytest.approx(math.exp(-0.5 * s * s), abs=1e-15)
+    for alpha in (math.inf, -1.0):
+        with pytest.raises(ValueError):
+            phi_critical(alpha, 1.0, 0.0)
 
 
 @given(
@@ -240,3 +250,5 @@ def test_covariance_limit_matches_exact_engine():
 def test_covariance_limit_domain():
     with pytest.raises(ValueError):
         covariance_limit(0.0)
+    with pytest.raises(ValueError):
+        covariance_limit(math.inf)
