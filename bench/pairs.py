@@ -10,6 +10,17 @@ last line of output is the JSON result.  The summary gives, per end-to-end
 metric of the parent's ``BENCHMARK.json``, each side's median and quartiles
 and in how many pairs the change was better (ties count for neither), and
 each side's failed and attempted checks; every run's metrics are kept.
+Each metric also gets a verdict against its bound in the parent's
+``BENCHMARK.json``, the first of these that holds:
+
+- ``gain``: the change won at least 9/10 of the pairs, and its median is
+  better than the parent's by more than the parent's interquartile range;
+- ``worse``: the change's median is worse than the parent's by more than the
+  bound (a fraction of the parent's median);
+- ``unresolved``: the parent's interquartile range exceeds the bound times
+  its median, and not every change run beats every parent run;
+- ``within bound``: any other case.
+
 Before the first run it exits 2, naming the files, if ``BENCHMARK.json`` or
 any ``perfbench/*.py`` differs between the two checkouts, since each side
 runs its own copy.  Output is JSON on stdout or ``--out``.  Needs only the
@@ -51,6 +62,26 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def wins(parent: list[float], change: list[float], lower: bool) -> int:
+    """Pairs in which the change reads better; ties count for neither side."""
+    return sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+
+
+def verdict(parent: list[float], change: list[float], lower: bool, bound: float) -> str:
+    """``gain``, ``worse``, ``unresolved`` or ``within bound``, as the module docstring says."""
+    p, c = spread(parent), spread(change)
+    iqr = p["q3"] - p["q1"]
+    gain = (p["median"] - c["median"]) if lower else (c["median"] - p["median"])
+    if 10 * wins(parent, change, lower) >= 9 * len(parent) and gain > iqr:
+        return "gain"
+    if -gain > bound * abs(p["median"]):
+        return "worse"
+    every_run_better = max(change) < min(parent) if lower else min(change) > max(parent)
+    if iqr > bound * abs(p["median"]) and not every_run_better:
+        return "unresolved"
+    return "within bound"
+
+
 def summarise(metrics: list[dict], runs: dict) -> dict:
     out = {}
     for metric in metrics:
@@ -58,10 +89,11 @@ def summarise(metrics: list[dict], runs: dict) -> dict:
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
         lower = metric["better"] == "lower"
-        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         out[name] = {"unit": metric["unit"], "better": metric["better"],
                      "parent": spread(parent), "change": spread(change),
-                     "change_better_in": f"{wins}/{len(parent)}"}
+                     "change_better_in": f"{wins(parent, change, lower)}/{len(parent)}"}
+        if "bound" in metric:
+            out[name]["verdict"] = verdict(parent, change, lower, metric["bound"])
     for side in ("parent", "change"):
         out[f"failed_of_attempted.{side}"] = [sum(r["failed"] for r in runs[side]),
                                               sum(r["attempted"] for r in runs[side])]

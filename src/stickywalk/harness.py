@@ -95,6 +95,12 @@ def default_grid() -> tuple[tuple[float, float], ...]:
     return tuple((s, t) for s in DEFAULT_GRID_AXIS for t in DEFAULT_GRID_AXIS)
 
 
+def _check_mc_paths(paths: int) -> None:
+    # 0 skips the Monte Carlo; one path has no standard error
+    if paths < 0 or paths == 1:
+        raise ValueError(f"paths must be 0 (no Monte Carlo) or >= 2, got {paths}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One convergence sweep: a regime, step counts, and an (s, t) grid."""
@@ -118,8 +124,7 @@ class SweepConfig:
             raise ValueError("grid must be nonempty")
         if not all(math.isfinite(v) for point in self.grid for v in point):
             raise ValueError("grid angles must be finite")
-        if self.paths < 0:
-            raise ValueError("paths must be >= 0")
+        _check_mc_paths(self.paths)
         if not self.quad_tol > 0.0:
             raise ValueError("quad_tol must be positive")
 
@@ -215,6 +220,7 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
 
 def run_covariance(alpha: float, n_list, seed: int = 0, paths: int = 0) -> list[CovarianceRow]:
     """Compare n^-1 E[x y] at delta = alpha sqrt(n) against its limit."""
+    _check_mc_paths(paths)
     limit = covariance_limit(alpha)
     rows: list[CovarianceRow] = []
     for n in n_list:

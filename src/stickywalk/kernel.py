@@ -12,10 +12,11 @@ intervals.  Every path owns a counter-based random stream keyed by
 work is chunked.  ``simulate_endpoints`` walks fixed spans of path indices
 one after another in path-index order.  Each chunk re-keys one Philox per
 path instead of building a generator per path, stores its draws step-major
-as an (n, paths) array, and walks all its paths at once in S = (x + y)/2 and
-D = (x - y)/2, of which each step moves exactly one.  The chunks' endpoints
-are joined.  ``path_rng`` and ``step`` are the scalar reference the chunk
-code is tested against.
+as an (n, paths) array, and walks all its paths at once.  A block of steps
+is first classified against step()'s thresholds for both states, on and
+off the diagonal; the step loop then carries only D = (x - y)/2 in int8,
+four ufunc calls per step.  The chunks' endpoints are joined.  ``path_rng``
+and ``step`` are the scalar reference the chunk code is tested against.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 # paths * n guard; beyond this a "quick look" simulation stops being quick
 _MAX_TOTAL_STEPS = 1 << 31
+# steps per block of _walk_draws (its int8 D offset and target need <= 126);
+# 32 ran fastest of 8..126 at n = 256 and 1024
+_WALK_BLOCK = 32
 
 
 def stickiness_u(delta: float) -> float:
@@ -144,16 +148,30 @@ class EndpointSample:
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "EndpointSample":
+        """Read what ``write_csv`` wrote.
+
+        Raises ``ValueError`` unless the rows are the sidecar's ``paths``
+        paths, indexed 0..paths-1 once each, with endpoints a walk of ``n``
+        steps can reach: |x|, |y| <= n and both of n's parity.
+        """
         path = Path(path)
         meta = json.loads(Path(str(path) + ".json").read_text())
+        n, paths = int(meta["n"]), int(meta["paths"])
         rows = path.read_text().strip().splitlines()[1:]
-        x = np.empty(len(rows), dtype=np.int64)
-        y = np.empty(len(rows), dtype=np.int64)
-        for row in rows:
-            i, xi, yi = row.split(",")
-            x[int(i)] = int(xi)
-            y[int(i)] = int(yi)
-        return cls(x=x, y=y, n=int(meta["n"]), delta=float(meta["delta"]), seed=int(meta["seed"]))
+        if len(rows) != paths:
+            raise ValueError(f"{path}: {len(rows)} rows, but its sidecar says {paths} paths")
+        table = np.array([[int(v) for v in row.split(",")] for row in rows],
+                         dtype=np.int64).reshape(paths, 3)
+        index, xs, ys = table.T
+        if not np.array_equal(np.sort(index), np.arange(paths)):
+            raise ValueError(f"{path}: path indices are not 0..{paths - 1}, once each")
+        for name, c in (("x", xs), ("y", ys)):
+            if np.any(np.abs(c) > n) or np.any((c - n) % 2):
+                raise ValueError(f"{path}: an endpoint {name} is not reachable in {n} steps")
+        x = np.empty(paths, dtype=np.int64)
+        y = np.empty(paths, dtype=np.int64)
+        x[index], y[index] = xs, ys
+        return cls(x=x, y=y, n=n, delta=float(meta["delta"]), seed=int(meta["seed"]))
 
 
 def _chunk_paths(n: int) -> int:
@@ -191,31 +209,82 @@ def _chunk_draws(n: int, seed: int, lo: int, hi: int) -> np.ndarray:
     return draws
 
 
+def _moves(v: np.ndarray, cuts: tuple[float, float, float], c: np.ndarray,
+           d_step: np.ndarray, minus: np.ndarray) -> None:
+    """The move each draw in ``v`` makes from one kind of state, given its thresholds.
+
+    With c1, c2, c3 = v >= cuts (so c1 >= c2 >= c3), step()'s move index is
+    c1 + c2 + c3: c2 says the move is "apart", and c1 - c2 + c3 says it is
+    -1 in x.  Writes the step of D = (x - y)/2, c2 - 2*c3, to ``d_step`` and
+    the -1 flag to ``minus``, both int8; ``c`` is three bool buffers shaped
+    like ``v``.
+    """
+    for ci, cut in zip(c, cuts):
+        np.greater_equal(v, cut, out=ci)
+    c1, c2, c3 = (ci.view(np.int8) for ci in c)
+    np.subtract(c2, c3, out=d_step)
+    np.subtract(d_step, c3, out=d_step)
+    np.subtract(c1, c2, out=minus)
+    np.add(minus, c3, out=minus)
+
+
 def _walk_draws(u: float, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints (x, y) of the paths whose step-major uniforms are ``draws``.
 
-    The walk keeps S = (x + y)/2 and D = (x - y)/2; a path is on the
-    diagonal iff D == 0.  With b = u/2 there and 1/2 elsewhere, a draw
-    v < b is a "together" move of S and any other an "apart" move of D.
-    The move is +1 below its threshold, b/2 or (1 + b)/2, and -1 above.
-    These are step()'s thresholds bit for bit: halving is exact, and 1 + b
-    rounds as 2 + u does, scaled by one half.
+    A path's move depends on its draw and on one bit of state: whether it
+    is on the diagonal, D = (x - y)/2 == 0.  So each block of up to
+    ``_WALK_BLOCK`` steps is first classified for both states at once.
+    Every draw is compared with step()'s own thresholds, u/4, u/2 and
+    (2 + u)/4 on the diagonal and 1/4, 1/2 and 3/4 off it, so the moves are
+    step()'s bit for bit.  This gives int8 rows of the D step and of the
+    -1-in-x flag off the diagonal, and of how each changes on it.
+
+    The step loop then carries only D, in four int8 ufunc calls per step
+    into preallocated rows, with no ``np.where``, cast or mixed-dtype
+    operand: compare D with the value that puts the path on the diagonal,
+    scale the on-diagonal change by that bit, add the off-diagonal step, and
+    add the result to D.  The on bits are kept, so the -1 moves are counted
+    once per block; x = n - 2 * (number of -1 moves) and y = x - 2D.
+
+    Within a block D is an int8 offset from its int64 value at the block's
+    start, and the comparison's target, -D at the start, is clipped to one
+    more than the block length.  The offset moves at most one per step, so
+    it cannot reach a clipped target, and the comparison stays exact.
     """
-    m = draws.shape[1]
-    s = np.zeros(m, dtype=np.int64)
+    n, m = draws.shape
+    rows = max(1, min(_WALK_BLOCK, n))
+    c = np.empty((3, rows, m), dtype=np.bool_)
+    on = np.empty((rows, m), dtype=np.bool_)
+    table = np.empty((4, rows, m), dtype=np.int8)
     d = np.zeros(m, dtype=np.int64)
-    for v in draws:
-        b = np.where(d == 0, 0.5 * u, 0.5)
-        apart = v >= b
-        b += apart  # halved below: b/2 together, (1 + b)/2 apart
-        b *= 0.5
-        sign = (v < b).astype(np.int64)
-        sign += sign
-        sign -= 1  # +1 below the threshold, -1 above
-        d_step = sign * apart
-        d += d_step
-        s += sign - d_step
-    return s + d, s - d
+    minus = np.zeros(m, dtype=np.int64)
+    d_block = np.empty(m, dtype=np.int8)
+    target = np.zeros(m, dtype=np.int8)  # -d, clipped into int8
+    d_step = np.empty(m, dtype=np.int8)
+    off_cuts = (0.25, 0.5, 0.75)
+    on_cuts = (0.25 * u, 0.5 * u, 0.25 * (2.0 + u))
+    for k in range(0, n, rows):
+        v = draws[k : k + rows]
+        r = len(v)
+        d_off, minus_off, d_gap, minus_gap = table[:, :r]
+        _moves(v, off_cuts, c[:, :r], d_off, minus_off)
+        _moves(v, on_cuts, c[:, :r], d_gap, minus_gap)
+        np.subtract(d_gap, d_off, out=d_gap)  # on-diagonal step minus off-diagonal step
+        np.subtract(minus_gap, minus_off, out=minus_gap)
+        on8 = on[:r].view(np.int8)
+        d_block.fill(0)
+        for j in range(r):
+            np.equal(d_block, target, out=on[j])
+            np.multiply(on8[j], d_gap[j], out=d_step)
+            np.add(d_step, d_off[j], out=d_step)
+            np.add(d_block, d_step, out=d_block)
+        np.multiply(on8, minus_gap, out=minus_gap)
+        np.add(minus_gap, minus_off, out=minus_gap)
+        minus += minus_gap.sum(axis=0, dtype=np.int16)
+        d += d_block
+        np.clip(-d, -rows - 1, rows + 1, out=target, casting="unsafe")
+    x = n - 2 * minus
+    return x, x - 2 * d
 
 
 def simulate_endpoints(

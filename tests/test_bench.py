@@ -36,6 +36,32 @@ def test_summarise_ties_count_for_neither_side_and_quartiles_are_inclusive():
     assert out["failed_of_attempted.change"] == [0, 20]
 
 
+@pytest.mark.parametrize("parent, change, want", [
+    # wins 9/10, median 0.2 better against a parent IQR of 0.075
+    ([1.0, 1.05, 0.95, 1.1, 0.9, 1.0, 1.05, 0.95, 1.0, 1.0],
+     [0.8, 0.8, 0.8, 0.8, 0.8, 0.8, 0.8, 0.8, 0.8, 1.1], "gain"),
+    # wins 10/10, but by less than the parent's IQR of 0.075
+    ([1.0, 1.05, 0.95, 1.1, 0.9, 1.0, 1.05, 0.95, 1.0, 1.0],
+     [0.99, 1.04, 0.94, 1.09, 0.89, 0.99, 1.04, 0.94, 0.99, 0.99], "within bound"),
+    # median 30% worse against a bound of 25%
+    ([1.0] * 10, [1.3] * 10, "worse"),
+    # parent IQR/median 0.4 exceeds the bound, and the runs overlap
+    ([0.8, 1.2, 0.8, 1.2, 1.0, 0.8, 1.2, 0.8, 1.2, 1.0],
+     [1.1, 0.7, 1.1, 0.7, 0.9, 1.1, 0.7, 1.1, 0.7, 0.9], "unresolved"),
+    # the same spread, but every change run beats every parent run
+    ([0.8, 1.2, 0.8, 1.2, 1.0, 0.8, 1.2, 0.8, 1.2, 1.0],
+     [0.7, 0.75, 0.7, 0.75, 0.7, 0.75, 0.7, 0.75, 0.7, 0.75], "within bound"),
+])
+def test_summarise_verdict_per_metric(parent, change, want):
+    metrics = [{"name": "job_s", "unit": "s", "better": "lower", "bound": 0.25},
+               {"name": "work_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
+    out = pairs.summarise(metrics, {"parent": _runs(parent), "change": _runs(change)})
+    assert out["job_s"]["verdict"] == want
+    # work_per_s = 1 / job_s: a higher-is-better metric reaches the same verdict
+    if want != "worse":  # 1/1.3 is 23% lower, inside the bound
+        assert out["work_per_s"]["verdict"] == want
+
+
 def _checkout(root, run_py="print(1)\n"):
     (root / "perfbench").mkdir(parents=True)
     (root / "BENCHMARK.json").write_text('{"end_to_end": []}\n')

@@ -35,6 +35,8 @@ def test_sweep_config_validation():
         SweepConfig(regime=regime, n_list=(64,), grid=())
     with pytest.raises(ValueError):
         SweepConfig(regime=regime, n_list=(64,), grid=((1.0, 1.0),), paths=-1)
+    with pytest.raises(ValueError):  # one path has no standard error
+        SweepConfig(regime=regime, n_list=(64,), grid=((1.0, 1.0),), paths=1)
     for grid in (((math.nan, 1.0),), ((1.0, 1.0), (0.5, math.inf)), ((-math.inf, 0.0),)):
         with pytest.raises(ValueError):
             SweepConfig(regime=regime, n_list=(64,), grid=grid)
@@ -202,6 +204,13 @@ def test_run_covariance_columns():
     rows = run_covariance(2.0, n_list=(64,), paths=500, seed=3)
     assert rows[0].mc is not None and rows[0].mc_stderr > 0.0
     assert rows[0].err_mc_exact == pytest.approx(abs(rows[0].mc - rows[0].exact))
+
+
+@pytest.mark.parametrize("paths", [1, -5])
+def test_run_covariance_refuses_paths_without_a_standard_error(paths):
+    # -5 once skipped the Monte Carlo silently, and 1 wrote mc_stderr = nan
+    with pytest.raises(ValueError, match="paths must be 0"):
+        run_covariance(2.0, n_list=(64,), paths=paths)
 
 
 def test_report_json_roundtrip(tmp_path):
@@ -374,6 +383,9 @@ def test_cli_config_unknown_key_exits_2(tmp_path, capsys):
     ["sweep", "--regime", "critical", "--alpha", "inf", "--n", "4", "--grid", "1"],
     ["covariance", "--alpha", "inf", "--n", "10"],
     ["limit-cf", "--regime", "critical", "--alpha", "inf"],
+    ["sweep", "--regime", "critical", "--alpha", "2", "--n", "64", "--paths", "1"],  # no stderr
+    ["covariance", "--alpha", "2", "--n", "10", "--paths", "1"],
+    ["covariance", "--alpha", "2", "--n", "10", "--paths", "-5"],
 ])
 def test_cli_missing_or_unparsable_flag_exits_2(argv):
     _assert_usage_error(argv)

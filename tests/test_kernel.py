@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -109,6 +110,41 @@ def test_step_one_step_law_matches_kernel():
     want = p.u / 4  # 3/8
     band = 4.0 * math.sqrt(want * (1 - want) / n_draws)
     assert abs(hits / n_draws - want) <= band
+
+
+def _assert_walk_draws_is_step(p, columns):
+    # _walk_draws over the columns as step-major draws, against step() fed
+    # each column in turn
+    x, y = _walk_draws(p.u, np.array(columns).T)
+    for i, column in enumerate(columns):
+        state, rng = WalkState(0, 0, 0), FakeRNG(column)
+        for _ in column:
+            state = step(state, p, rng)
+        assert (state.x, state.y) == (x[i], y[i]), i
+
+
+@pytest.mark.parametrize("delta", [0.0, 2.0, 64.0, 1e300])
+def test_walk_draws_matches_step_at_every_threshold(delta):
+    # every kernel threshold, on and off the diagonal, exactly and one ulp to
+    # each side; the pinned hashes cannot see a threshold shift of 1e-7.
+    # Among all three-step columns of these draws some leave the diagonal,
+    # some come back to it and some stay on it, so each draw meets each state.
+    p = StickinessParam(delta)
+    cuts = [0.25 * p.u, 0.5 * p.u, 0.25 * (2.0 + p.u), 0.25, 0.5, 0.75]
+    draws = sorted({float(w) for c in cuts
+                    for w in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))})
+    _assert_walk_draws_is_step(p, list(itertools.product(draws, repeat=3)))
+
+
+def test_walk_draws_matches_step_on_long_excursions():
+    # D runs out to 130 and back to 1, where it stays, with the excursion
+    # starting at every offset 0..127: any step-blocking of the walk sees D
+    # far from zero at a block's start and one step from it inside a block
+    away = [0.8] + [0.6] * 129  # apart +1 on the diagonal, then apart +1 off it
+    back = [0.9] * 129  # apart -1 off the diagonal
+    # at u = 1.5, 0.3 is "together, -1" at D = 1 but "together, +1" on the diagonal
+    columns = [[0.1] * i + away + back + [0.3] * (148 - i) for i in range(128)]
+    _assert_walk_draws_is_step(StickinessParam(2.0), columns)
 
 
 def test_simulate_zero_steps():
@@ -267,6 +303,20 @@ def test_csv_roundtrip(tmp_path):
     other = tmp_path / "sample2.csv"
     simulate_endpoints(StickinessParam(0.5), 10, 20, seed=1).write_csv(other)
     assert other.read_text() == text
+
+
+@pytest.mark.parametrize("rows", [
+    ["0,0,0", "1,2,0", "2,0,-2"],  # 3 of the sidecar's 5 paths
+    ["0,0,0", "1,2,0", "2,0,-2", "3,4,2", "3,2,2"],  # index 3 twice, 4 never
+    ["0,0,0", "1,2,0", "2,0,-2", "3,3,2", "4,2,2"],  # x = 3 has the wrong parity
+    ["0,0,0", "1,2,0", "2,0,-2", "3,12,2", "4,2,2"],  # |x| > n
+])
+def test_read_csv_refuses_a_file_write_csv_could_not_have_written(tmp_path, rows):
+    out = tmp_path / "sample.csv"
+    simulate_endpoints(StickinessParam(0.5), 10, 5, seed=1).write_csv(out)
+    out.write_text("\n".join(["path_index,x,y", *rows]) + "\n")
+    with pytest.raises(ValueError):
+        EndpointSample.read_csv(out)
 
 
 def test_capacity_guard():
