@@ -2,12 +2,15 @@
 
     python bench/layers.py [--repeats N] [--before FILE] [--out FILE]
 
-Each row is the median wall time, in seconds, of ``--repeats`` runs, at
-delta = 2 sqrt(n) unless it says otherwise:
+Each row is timed ``--repeats`` times, at delta = 2 sqrt(n) unless it says
+otherwise.  ``"s"`` holds each row's median wall time in seconds, and
+``"quartiles"`` its first and third quartiles (inclusive method), so a
+reader can see how far the repeats of one run spread:
 
 - ``draws n=N`` and ``walk n=N``: one full chunk of the sampler
-  (``kernel._chunk_paths(n)`` paths, seed 7) at n = 33, 256 and 1024, its
-  draws built, then those draws walked;
+  (``kernel._chunk_paths(n)`` paths, seed 7) at n = 33, 256 and 1024: its
+  uniforms drawn, classified against the thresholds and transposed into
+  the step-major int8 class array, then those classes walked;
 - ``simulate_endpoints``: n = 1024, 2e4 paths, seed 7, mc-critical's shape;
 - ``h one angle n=N`` and ``h batch n=N``: the h recursion at n = 1024, 4096
   and 16384, for the middle one and for all of the 15 distinct
@@ -22,7 +25,8 @@ delta = 2 sqrt(n) unless it says otherwise:
 
 To compare two checkouts, run each one's own copy and pass the first one's
 output to the second with ``--before``: it is embedded, with the before/after
-ratio of every row both runs timed.  Output is JSON on stdout or ``--out``.
+ratio of the medians of every row both runs timed.  Output is JSON on stdout
+or ``--out``.
 """
 
 from __future__ import annotations
@@ -41,13 +45,25 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SEED = 7
 
 
-def median_s(fn, repeats: int) -> float:
+def times_s(fn, repeats: int) -> list[float]:
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return statistics.median(times)
+    return times
+
+
+def summarise(times: dict[str, list[float]]) -> dict:
+    """Each row's median (``"s"``) and [q1, q3] (``"quartiles"``) of its repeat times."""
+    def quartiles(values):
+        if len(values) < 2:
+            return [values[0], values[0]]
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        return [q1, q3]
+
+    return {"s": {row: statistics.median(v) for row, v in times.items()},
+            "quartiles": {row: quartiles(v) for row, v in times.items()}}
 
 
 def measure(repeats: int) -> dict:
@@ -63,11 +79,11 @@ def measure(repeats: int) -> dict:
     rows = {}
     for n in (33, 256, 1024):
         u, paths = param(n).u, kernel._chunk_paths(n)
-        draws = kernel._chunk_draws(n, SEED, 0, paths)
-        rows[f"draws n={n}"] = median_s(lambda: kernel._chunk_draws(n, SEED, 0, paths), repeats)
-        rows[f"walk n={n}"] = median_s(lambda: kernel._walk_draws(u, draws), repeats)
-        del draws
-    rows["simulate_endpoints n=1024 paths=20000"] = median_s(
+        classes = kernel._chunk_draws(u, n, SEED, 0, paths)
+        rows[f"draws n={n}"] = times_s(lambda: kernel._chunk_draws(u, n, SEED, 0, paths), repeats)
+        rows[f"walk n={n}"] = times_s(lambda: kernel._walk_draws(u, classes), repeats)
+        del classes
+    rows["simulate_endpoints n=1024 paths=20000"] = times_s(
         lambda: kernel.simulate_endpoints(param(1024), 1024, 20_000, SEED), repeats)
 
     grid = default_grid()
@@ -78,8 +94,8 @@ def measure(repeats: int) -> dict:
             if row.tobytes() != exact.diag_fourier_sequence(u, a, n).tobytes():
                 raise SystemExit(f"h batch row at angle {a}, n = {n} differs from its one-angle call")
         middle = angles[len(angles) // 2]
-        rows[f"h one angle n={n}"] = median_s(lambda: exact.diag_fourier_sequence(u, middle, n), repeats)
-        rows[f"h batch n={n}"] = median_s(lambda: exact.diag_fourier_sequence(u, angles, n), repeats)
+        rows[f"h one angle n={n}"] = times_s(lambda: exact.diag_fourier_sequence(u, middle, n), repeats)
+        rows[f"h batch n={n}"] = times_s(lambda: exact.diag_fourier_sequence(u, angles, n), repeats)
 
     s_axis, t_axis = np.array(grid).T / math.sqrt(4096)
 
@@ -92,15 +108,15 @@ def measure(repeats: int) -> dict:
         exact.endpoint_distribution(param(12).delta, 12)
 
     critical = RegimeSpec.critical(2.0)
-    rows["char_fn_exact grid n=4096"] = median_s(cf_grid, repeats)
-    rows["endpoint_distribution n=12"] = median_s(enumeration, repeats)
-    rows["limit_cf grid alpha=2"] = median_s(lambda: [limit_cf(critical, s, t) for s, t in grid],
-                                             repeats)
+    rows["char_fn_exact grid n=4096"] = times_s(cf_grid, repeats)
+    rows["endpoint_distribution n=12"] = times_s(enumeration, repeats)
+    rows["limit_cf grid alpha=2"] = times_s(lambda: [limit_cf(critical, s, t) for s, t in grid],
+                                            repeats)
     return {
         "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
                 "numpy": np.__version__, "scipy": scipy.__version__},
         "repeats": repeats,
-        "s": rows,
+        **summarise(rows),
     }
 
 
@@ -115,6 +131,8 @@ def main(argv=None) -> int:
     parser.add_argument("--before", type=Path, help="an earlier run's JSON output")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
     sys.path.insert(0, str(SRC))
     result = measure(args.repeats)
     if args.before:

@@ -4,8 +4,9 @@ Subcommands: selftest, sweep, covariance, exact-cf, limit-cf, mc, gf-check.
 A flat key=value config file can supply the value of any flag its command
 takes, checked like the flag itself; explicit flags win.  Exit status: 0
 success, 1 numeric failure, 2 usage error (an unparsable, out-of-range or
-missing flag, a flag the command would ignore, an unknown config key, or a
-request over the desk-scale budget).
+missing flag, a flag the command would ignore, an unknown config key, an
+``--out`` that is not a file in an existing directory, or a request over the
+desk-scale budget).
 """
 
 from __future__ import annotations
@@ -258,6 +259,10 @@ def main(argv=None) -> int:
         sub.error("missing " + ", ".join(missing))
     if getattr(args, "regime", None) not in (None, "critical") and args.alpha is not None:
         sub.error("--alpha applies only to --regime critical")
+    out = getattr(args, "out", None)
+    if out is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+        # refused before the work, not when the result is written
+        sub.error(f"--out {out}: not a file in an existing directory")
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, CapacityError) as exc:  # out of range, or over the work budget

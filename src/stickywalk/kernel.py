@@ -11,18 +11,23 @@ intervals.  Every path owns a counter-based random stream keyed by
 (seed, path index), so simulations are bit-reproducible no matter how the
 work is chunked.  ``simulate_endpoints`` walks fixed spans of path indices
 one after another in path-index order.  Each chunk re-keys one Philox per
-path instead of building a generator per path, stores its draws step-major
-as an (n, paths) array, and walks all its paths at once.  A block of steps
-is first classified against step()'s thresholds for both states, on and
-off the diagonal; the step loop then carries only D = (x - y)/2 in int8,
-four ufunc calls per step.  The chunks' endpoints are joined.  ``path_rng``
-and ``step`` are the scalar reference the chunk code is tested against.
+path instead of building a generator per path, and keeps of each uniform
+only its class: how many of step()'s six thresholds (three off the
+diagonal, three on it) it reaches, one int8 per step, stored step-major as
+an (n, paths) array.  A uniform reaches the r-th smallest threshold exactly
+when its class is at least r, so comparing classes with integer ranks makes
+every comparison step() makes.  The walk first classifies a block of steps
+for both states, on and off the diagonal; the step loop then carries only
+D = (x - y)/2 in int8, four ufunc calls per step.  The chunks' endpoints are
+joined.  ``path_rng`` and ``step`` are the scalar reference the chunk code
+is tested against.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -175,29 +180,43 @@ class EndpointSample:
 
 
 def _chunk_paths(n: int) -> int:
-    # ~32 MB of uniforms per chunk; the chunk size never affects results
+    # ~4 MB of int8 classes per chunk (32 MB of the uniforms they stand for);
+    # the chunk size never affects results
     return max(64, min(4096, int(4_000_000 // max(n, 1))))
 
 
-def _chunk_draws(n: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Uniforms of paths lo..hi-1, step-major: column i is ``path_rng(seed, lo + i).random(n)``.
+def _cut_ranks(u: float) -> tuple[list[float], tuple[int, ...], tuple[int, ...]]:
+    """step()'s six thresholds sorted, and the rank of each off and on the diagonal.
+
+    The rank of cut c is a 1-based position of c among the sorted cuts; for
+    tied cuts the first one serves, since they compare alike.
+    """
+    off = (0.25, 0.5, 0.75)
+    on = (0.25 * u, 0.5 * u, 0.25 * (2.0 + u))
+    cuts = sorted(off + on)
+    return cuts, tuple(cuts.index(c) + 1 for c in off), tuple(cuts.index(c) + 1 for c in on)
+
+
+def _uniform_blocks(n: int, seed: int, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (j, rows) over paths lo..hi-1: ``rows[i]`` is ``path_rng(seed, lo + j + i).random(n)``.
 
     One Philox serves the chunk.  Each path re-keys it to (seed, index) and
     restores the fresh counter and buffer, which is the state ``path_rng``
     would build, so the draws are the same bytes without a new generator
-    per path.
+    per path.  ``rows`` is one buffer, overwritten by the next block.
     """
     m = hi - lo
-    draws = np.empty((n, m))
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bitgen)
-    fresh = bitgen.state
-    key = fresh["state"]["key"]  # the state setter copies it, so one dict serves every path
-    key[0] = seed & _MASK64
-    # paths per transposed block: <= 128 KB of uniforms (16 paths at
-    # n = 1024).  64-path blocks ran ~9% faster but added ~0.5 MB to the
-    # benchmark's peak RSS; the chunk's memory should stay its draws
-    width = max(1, min(256, m, (1 << 14) // max(n, 1)))
+    # the fresh state as Python ints: the setter casts every entry to
+    # uint64, and from numpy scalars that costs about 1 us more per path
+    fresh = {"bit_generator": "Philox",
+             "state": {"counter": [0] * 4, "key": [seed & _MASK64, 0]},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    key = fresh["state"]["key"]  # the setter copies it, so one dict serves every path
+    # paths per block: <= 512 KB of uniforms (64 paths at n = 1024), which
+    # the classifier reads while they are still in cache
+    width = max(1, min(256, m, (1 << 16) // max(n, 1)))
     block = np.empty((width, n))
     for j in range(0, m, width):
         rows = block[: min(width, m - j)]
@@ -205,22 +224,57 @@ def _chunk_draws(n: int, seed: int, lo: int, hi: int) -> np.ndarray:
             key[1] = (lo + j + i) & _MASK64
             bitgen.state = fresh
             gen.random(out=row)
-        draws[:, j : j + len(rows)] = rows.T
-    return draws
+        yield j, rows
 
 
-def _moves(v: np.ndarray, cuts: tuple[float, float, float], c: np.ndarray,
+def _classify(blocks: Iterable[tuple[int, np.ndarray]], n: int, m: int,
+              cuts: list[float]) -> np.ndarray:
+    """Step-major int8 classes of (j, rows) uniform blocks, shape (n, m).
+
+    Entry [k, j + i] counts the ``cuts`` that ``rows[i, k]`` reaches.  Each
+    block is classified path-major while it is still in cache, six
+    ``greater_equal`` calls added into one int8 buffer, and only that int8
+    block is transposed into the result.
+    """
+    classes = np.empty((n, m), dtype=np.int8)
+    for j, rows in blocks:
+        block = np.greater_equal(rows, cuts[0]).view(np.int8)
+        reach = np.empty(rows.shape, dtype=np.bool_)
+        for cut in cuts[1:]:
+            np.greater_equal(rows, cut, out=reach)
+            np.add(block, reach.view(np.int8), out=block)
+        classes[:, j : j + len(rows)] = block.T
+    return classes
+
+
+def _chunk_draws(u: float, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Threshold classes of paths lo..hi-1's uniforms, step-major, int8.
+
+    Column i holds, for each uniform v of ``path_rng(seed, lo + i).random(n)``,
+    its class: the number j of ``step``'s six thresholds at this u (1/4, 1/2,
+    3/4 off the diagonal, u/4, u/2, (2 + u)/4 on it) with v >= cut.  With the
+    cuts sorted, c_(1) <= ... <= c_(6), v >= c_(r) holds exactly when
+    j >= r, so every comparison ``step`` makes is ``j >= rank`` for the
+    rank ``_cut_ranks`` gives its cut; ties, as at delta = 0, and the cut
+    (2 + u)/4 = 1 at u = 2 need no special case.  The chunk is 1 byte per
+    step instead of the 8 of its uniforms, and ``_walk_draws`` reads only
+    the classes.
+    """
+    return _classify(_uniform_blocks(n, seed, lo, hi), n, hi - lo, _cut_ranks(u)[0])
+
+
+def _moves(v: np.ndarray, ranks: tuple[int, int, int], c: np.ndarray,
            d_step: np.ndarray, minus: np.ndarray) -> None:
-    """The move each draw in ``v`` makes from one kind of state, given its thresholds.
+    """The move each class in ``v`` makes from one kind of state, given its cut ranks.
 
-    With c1, c2, c3 = v >= cuts (so c1 >= c2 >= c3), step()'s move index is
+    With c1, c2, c3 = v >= ranks (so c1 >= c2 >= c3), step()'s move index is
     c1 + c2 + c3: c2 says the move is "apart", and c1 - c2 + c3 says it is
     -1 in x.  Writes the step of D = (x - y)/2, c2 - 2*c3, to ``d_step`` and
     the -1 flag to ``minus``, both int8; ``c`` is three bool buffers shaped
     like ``v``.
     """
-    for ci, cut in zip(c, cuts):
-        np.greater_equal(v, cut, out=ci)
+    for ci, rank in zip(c, ranks):
+        np.greater_equal(v, rank, out=ci)
     c1, c2, c3 = (ci.view(np.int8) for ci in c)
     np.subtract(c2, c3, out=d_step)
     np.subtract(d_step, c3, out=d_step)
@@ -228,15 +282,18 @@ def _moves(v: np.ndarray, cuts: tuple[float, float, float], c: np.ndarray,
     np.add(minus, c3, out=minus)
 
 
-def _walk_draws(u: float, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints (x, y) of the paths whose step-major uniforms are ``draws``.
+def _walk_draws(u: float, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (x, y) of the paths whose step-major threshold classes are ``classes``.
+
+    ``classes`` is what ``_chunk_draws`` returns for this u: int8 classes, so
+    comparing a class with the rank of one of step()'s cuts is comparing
+    its uniform with that cut, and the moves are step()'s bit for bit.
 
     A path's move depends on its draw and on one bit of state: whether it
     is on the diagonal, D = (x - y)/2 == 0.  So each block of up to
-    ``_WALK_BLOCK`` steps is first classified for both states at once.
-    Every draw is compared with step()'s own thresholds, u/4, u/2 and
-    (2 + u)/4 on the diagonal and 1/4, 1/2 and 3/4 off it, so the moves are
-    step()'s bit for bit.  This gives int8 rows of the D step and of the
+    ``_WALK_BLOCK`` steps is first classified for both states at once,
+    against the ranks of u/4, u/2 and (2 + u)/4 on the diagonal and of 1/4,
+    1/2 and 3/4 off it.  This gives int8 rows of the D step and of the
     -1-in-x flag off the diagonal, and of how each changes on it.
 
     The step loop then carries only D, in four int8 ufunc calls per step
@@ -251,7 +308,7 @@ def _walk_draws(u: float, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     more than the block length.  The offset moves at most one per step, so
     it cannot reach a clipped target, and the comparison stays exact.
     """
-    n, m = draws.shape
+    n, m = classes.shape
     rows = max(1, min(_WALK_BLOCK, n))
     c = np.empty((3, rows, m), dtype=np.bool_)
     on = np.empty((rows, m), dtype=np.bool_)
@@ -261,14 +318,13 @@ def _walk_draws(u: float, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d_block = np.empty(m, dtype=np.int8)
     target = np.zeros(m, dtype=np.int8)  # -d, clipped into int8
     d_step = np.empty(m, dtype=np.int8)
-    off_cuts = (0.25, 0.5, 0.75)
-    on_cuts = (0.25 * u, 0.5 * u, 0.25 * (2.0 + u))
+    _, off_ranks, on_ranks = _cut_ranks(u)
     for k in range(0, n, rows):
-        v = draws[k : k + rows]
+        v = classes[k : k + rows]
         r = len(v)
         d_off, minus_off, d_gap, minus_gap = table[:, :r]
-        _moves(v, off_cuts, c[:, :r], d_off, minus_off)
-        _moves(v, on_cuts, c[:, :r], d_gap, minus_gap)
+        _moves(v, off_ranks, c[:, :r], d_off, minus_off)
+        _moves(v, on_ranks, c[:, :r], d_gap, minus_gap)
         np.subtract(d_gap, d_off, out=d_gap)  # on-diagonal step minus off-diagonal step
         np.subtract(minus_gap, minus_off, out=minus_gap)
         on8 = on[:r].view(np.int8)
@@ -316,7 +372,7 @@ def simulate_endpoints(
         )
     chunk = _chunk_paths(n)
     spans = [(lo, min(lo + chunk, paths)) for lo in range(0, paths, chunk)]
-    parts = [_walk_draws(p.u, _chunk_draws(n, seed, lo, hi)) for lo, hi in spans]
+    parts = [_walk_draws(p.u, _chunk_draws(p.u, n, seed, lo, hi)) for lo, hi in spans]
     x = np.concatenate([part[0] for part in parts])
     y = np.concatenate([part[1] for part in parts])
     x.setflags(write=False)

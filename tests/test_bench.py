@@ -1,4 +1,4 @@
-"""The pure parts of the bench/ scripts: pair summaries, the benchmark guard, layer ratios."""
+"""The pure parts of the bench/ scripts: pair summaries, the benchmark guard, layer summaries and ratios."""
 
 import importlib.util
 from pathlib import Path
@@ -89,3 +89,19 @@ def test_layer_ratios_cover_the_rows_both_runs_timed():
     before = {"s": {"walk n=33": 2.0, "h batch n=1024": 0.5, "gone": 1.0}}
     after = {"s": {"walk n=33": 1.0, "h batch n=1024": 1.0, "new": 3.0}}
     assert layers.ratios(before, after) == {"walk n=33": 2.0, "h batch n=1024": 0.5}
+
+
+def test_layer_summary_keeps_medians_and_adds_quartiles():
+    times = {"draws n=1024": [0.5, 0.1, 0.3, 0.2, 0.4], "walk n=33": [2.0]}
+    out = layers.summarise(times)
+    # "s" stays the median that --before ratios read
+    assert out["s"] == {"draws n=1024": 0.3, "walk n=33": 2.0}
+    assert out["quartiles"] == {"draws n=1024": [0.2, 0.4], "walk n=33": [2.0, 2.0]}
+    assert layers.ratios({"s": {"draws n=1024": 0.6}}, out) == {"draws n=1024": 2.0}
+
+
+def test_layers_refuses_no_repeats(capsys):
+    with pytest.raises(SystemExit) as info:
+        layers.main(["--repeats", "0"])
+    assert info.value.code == 2
+    assert "--repeats" in capsys.readouterr().err

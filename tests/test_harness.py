@@ -386,6 +386,13 @@ def test_cli_config_unknown_key_exits_2(tmp_path, capsys):
     ["sweep", "--regime", "critical", "--alpha", "2", "--n", "64", "--paths", "1"],  # no stderr
     ["covariance", "--alpha", "2", "--n", "10", "--paths", "1"],
     ["covariance", "--alpha", "2", "--n", "10", "--paths", "-5"],
+    # --out in a missing directory, or a directory: refused before any work
+    ["mc", "--n", "10", "--paths", "10", "--out", "/nonexistent/x.csv"],
+    ["sweep", "--regime", "critical", "--alpha", "2", "--n", "64", "--out", "/nonexistent/s.csv"],
+    ["selftest", "--out", "/nonexistent/r.json"],
+    ["covariance", "--alpha", "2", "--n", "10", "--out", "/nonexistent/c.csv"],
+    ["mc", "--n", "10", "--paths", "10", "--out", "."],
+    ["mc", "--n", "10", "--paths", "10", "--out", ""],
 ])
 def test_cli_missing_or_unparsable_flag_exits_2(argv):
     _assert_usage_error(argv)

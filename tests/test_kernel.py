@@ -14,6 +14,9 @@ from stickywalk.kernel import (
     StickinessParam,
     WalkState,
     _chunk_draws,
+    _classify,
+    _cut_ranks,
+    _uniform_blocks,
     _walk_draws,
     path_rng,
     simulate_endpoints,
@@ -113,9 +116,12 @@ def test_step_one_step_law_matches_kernel():
 
 
 def _assert_walk_draws_is_step(p, columns):
-    # _walk_draws over the columns as step-major draws, against step() fed
-    # each column in turn
-    x, y = _walk_draws(p.u, np.array(columns).T)
+    # the columns as one block of uniforms through the chunk's classifier,
+    # then _walk_draws over those classes, against step() fed each column
+    # in turn
+    n, m = len(columns[0]), len(columns)
+    classes = _classify([(0, np.array(columns))], n, m, _cut_ranks(p.u)[0])
+    x, y = _walk_draws(p.u, classes)
     for i, column in enumerate(columns):
         state, rng = WalkState(0, 0, 0), FakeRNG(column)
         for _ in column:
@@ -262,25 +268,37 @@ def test_endpoint_bytes_pinned_short_paths_top_seed(n, want):
 @pytest.mark.parametrize("seed", [0, -1, 2**63, 2**64 - 1, 2**70 + 3])
 def test_chunk_draws_equal_path_streams(n, seed):
     # the re-keyed chunk stream is each path's own stream: keys masked to
-    # 64 bits, counter and buffer reset per path, two transpose blocks
+    # 64 bits, counter and buffer reset per path, two blocks; each uniform
+    # is checked before it is classified, and each column of classes counts
+    # the thresholds its path's uniforms reach
     lo, hi = 1000, 1300
-    draws = _chunk_draws(n, seed, lo, hi)
-    assert draws.shape == (n, hi - lo)
+    seen = []
+    for j, rows in _uniform_blocks(n, seed, lo, hi):
+        for i, row in enumerate(rows):
+            assert np.array_equal(row, path_rng(seed, lo + j + i).random(n))
+            seen.append(j + i)
+    assert seen == list(range(hi - lo))
+    u = StickinessParam(2.0).u
+    classes = _chunk_draws(u, n, seed, lo, hi)
+    assert classes.shape == (n, hi - lo) and classes.dtype == np.int8
+    cuts = (0.25, 0.5, 0.75, 0.25 * u, 0.5 * u, 0.25 * (2.0 + u))
     for i in range(hi - lo):
-        assert np.array_equal(draws[:, i], path_rng(seed, lo + i).random(n))
+        v = path_rng(seed, lo + i).random(n)
+        assert np.array_equal(classes[:, i], sum((v >= c).astype(np.int8) for c in cuts))
 
 
 def test_chunk_peak_memory_is_its_draws():
-    # one full chunk at n = 1024: 4096 paths of draws are 32 MiB; no second
-    # chunk-sized array (a whole-chunk transpose would double it)
+    # one full chunk at n = 1024: 4096 paths of int8 classes are 4 MiB; no
+    # float64 chunk array (32 MiB) and no second chunk-sized array
     n, paths = 1024, 4096
+    u = StickinessParam(64.0).u
     tracemalloc.start()
     try:
-        _walk_draws(StickinessParam(64.0).u, _chunk_draws(n, 0, 0, paths))
+        _walk_draws(u, _chunk_draws(u, n, 0, 0, paths))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 8 * n * paths
+    assert peak <= 2 * n * paths
 
 
 def test_determinism():
