@@ -23,6 +23,10 @@ reader can see how far the repeats of one run spread:
 - ``limit_cf grid``: the 36 ``phi_critical`` quadratures of one default-grid
   sweep at alpha = 2.
 
+Each group of rows (the sampler; h and ``char_fn_exact``; the enumeration;
+the quadrature) runs in its own freshly spawned process, one group at a
+time, so the heap one group leaves behind cannot slow or speed the next.
+
 To compare two checkouts, run each one's own copy and pass the first one's
 output to the second with ``--before``: it is embedded, with the before/after
 ratio of the medians of every row both runs timed.  Output is JSON on stdout
@@ -34,11 +38,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
 import os
 import platform
 import statistics
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -66,26 +72,32 @@ def summarise(times: dict[str, list[float]]) -> dict:
             "quartiles": {row: quartiles(v) for row, v in times.items()}}
 
 
-def measure(repeats: int) -> dict:
-    import numpy as np
-    import scipy
-    from stickywalk import exact, kernel
-    from stickywalk.harness import default_grid
-    from stickywalk.limits import RegimeSpec, limit_cf
+def param(n: int):
+    from stickywalk import kernel
+    return kernel.StickinessParam(2.0 * math.sqrt(n))
 
-    def param(n):
-        return kernel.StickinessParam(2.0 * math.sqrt(n))
+
+def sampler_rows(repeats: int) -> dict[str, list[float]]:
+    from stickywalk import kernel
 
     rows = {}
     for n in (33, 256, 1024):
         u, paths = param(n).u, kernel._chunk_paths(n)
-        classes = kernel._chunk_draws(u, n, SEED, 0, paths)
-        rows[f"draws n={n}"] = times_s(lambda: kernel._chunk_draws(u, n, SEED, 0, paths), repeats)
+        classes = kernel._chunk_classes(u, n, SEED, 0, paths)
+        rows[f"draws n={n}"] = times_s(lambda: kernel._chunk_classes(u, n, SEED, 0, paths), repeats)
         rows[f"walk n={n}"] = times_s(lambda: kernel._walk_draws(u, classes), repeats)
         del classes
     rows["simulate_endpoints n=1024 paths=20000"] = times_s(
         lambda: kernel.simulate_endpoints(param(1024), 1024, 20_000, SEED), repeats)
+    return rows
 
+
+def h_rows(repeats: int) -> dict[str, list[float]]:
+    import numpy as np
+    from stickywalk import exact
+    from stickywalk.harness import default_grid
+
+    rows = {}
     grid = default_grid()
     for n in (1024, 4096, 16384):
         u = param(n).u
@@ -103,15 +115,44 @@ def measure(repeats: int) -> dict:
         exact._h0_prefix.cache_clear()
         exact.char_fn_exact(param(4096), s_axis, t_axis, 4096)
 
+    rows["char_fn_exact grid n=4096"] = times_s(cf_grid, repeats)
+    return rows
+
+
+def enumeration_rows(repeats: int) -> dict[str, list[float]]:
+    from stickywalk import exact
+
     def enumeration():
         exact.endpoint_distribution.cache_clear()
         exact.endpoint_distribution(param(12).delta, 12)
 
-    critical = RegimeSpec.critical(2.0)
-    rows["char_fn_exact grid n=4096"] = times_s(cf_grid, repeats)
-    rows["endpoint_distribution n=12"] = times_s(enumeration, repeats)
-    rows["limit_cf grid alpha=2"] = times_s(lambda: [limit_cf(critical, s, t) for s, t in grid],
-                                            repeats)
+    return {"endpoint_distribution n=12": times_s(enumeration, repeats)}
+
+
+def quadrature_rows(repeats: int) -> dict[str, list[float]]:
+    from stickywalk.harness import default_grid
+    from stickywalk.limits import RegimeSpec, limit_cf
+
+    critical, grid = RegimeSpec.critical(2.0), default_grid()
+    return {"limit_cf grid alpha=2": times_s(
+        lambda: [limit_cf(critical, s, t) for s, t in grid], repeats)}
+
+
+GROUPS = (sampler_rows, h_rows, enumeration_rows, quadrature_rows)
+
+
+def measure(repeats: int) -> dict:
+    import numpy as np
+    import scipy
+
+    rows = {}
+    spawn = multiprocessing.get_context("spawn")
+    for group in GROUPS:
+        # a fresh process per group: a group's heap state (glibc raises its
+        # mmap threshold to the largest block freed so far) must not carry
+        # into the next group's rows
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            rows.update(pool.submit(group, repeats).result())
     return {
         "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
                 "numpy": np.__version__, "scipy": scipy.__version__},

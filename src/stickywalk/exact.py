@@ -391,8 +391,8 @@ def series_truncation(z: float, tol: float) -> int:
     """Smallest N with tail bound z^(N+1) / (1 - z) <= tol."""
     if not (0.0 < z < 1.0):
         raise ValueError("z must lie in (0, 1)")
-    if not tol > 0.0:
-        raise ValueError("tol must be > 0")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     N = max(0, math.ceil(math.log(tol * (1.0 - z)) / math.log(z)) - 1)
     while z ** (N + 1) / (1.0 - z) > tol:
         N += 1

@@ -125,8 +125,8 @@ class SweepConfig:
         if not all(math.isfinite(v) for point in self.grid for v in point):
             raise ValueError("grid angles must be finite")
         _check_mc_paths(self.paths)
-        if not self.quad_tol > 0.0:
-            raise ValueError("quad_tol must be positive")
+        if not (math.isfinite(self.quad_tol) and self.quad_tol > 0.0):
+            raise ValueError(f"quad_tol must be finite and positive, got {self.quad_tol!r}")
 
 
 @dataclass(frozen=True)

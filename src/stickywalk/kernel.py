@@ -10,15 +10,16 @@ Sampling draws one uniform per step and partitions it into the four kernel
 intervals.  Every path owns a counter-based random stream keyed by
 (seed, path index), so simulations are bit-reproducible no matter how the
 work is chunked.  ``simulate_endpoints`` walks fixed spans of path indices
-one after another in path-index order.  Each chunk re-keys one Philox per
-path instead of building a generator per path, and keeps of each uniform
-only its class: how many of step()'s six thresholds (three off the
-diagonal, three on it) it reaches, one int8 per step, stored step-major as
-an (n, paths) array.  A uniform reaches the r-th smallest threshold exactly
-when its class is at least r, so comparing classes with integer ranks makes
-every comparison step() makes.  The walk first classifies a block of steps
-for both states, on and off the diagonal; the step loop then carries only
-D = (x - y)/2 in int8, four ufunc calls per step.  The chunks' endpoints are
+one after another in path-index order.  One builder, ``_chunk_classes``,
+re-keys one Philox per path instead of building a generator per path, and
+keeps of each uniform only its class: how many of step()'s six thresholds
+(three off the diagonal, three on it) it reaches, one int8 per step, stored
+step-major as an (n, paths) array.  A uniform reaches the r-th smallest
+threshold exactly when its class is at least r, so comparing classes with
+integer ranks makes every comparison step() makes.  The walk first
+classifies a block of steps for both states, on and off the diagonal; the
+step loop then carries only D = (x - y)/2, in the smallest signed integer
+dtype that holds +-n, four ufunc calls per step.  The chunks' endpoints are
 joined.  ``path_rng`` and ``step`` are the scalar reference the chunk code
 is tested against.
 """
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,8 +48,8 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 # paths * n guard; beyond this a "quick look" simulation stops being quick
 _MAX_TOTAL_STEPS = 1 << 31
-# steps per block of _walk_draws (its int8 D offset and target need <= 126);
-# 32 ran fastest of 8..126 at n = 256 and 1024
+# steps per block of _walk_draws, classified for both states before its
+# step loop; 32 ran fastest of 8..126 at n = 256 and 1024
 _WALK_BLOCK = 32
 
 
@@ -155,12 +155,16 @@ class EndpointSample:
     def read_csv(cls, path: str | Path) -> "EndpointSample":
         """Read what ``write_csv`` wrote.
 
-        Raises ``ValueError`` unless the rows are the sidecar's ``paths``
-        paths, indexed 0..paths-1 once each, with endpoints a walk of ``n``
-        steps can reach: |x|, |y| <= n and both of n's parity.
+        Raises ``ValueError`` unless the sidecar holds ``n``, ``paths``,
+        ``delta`` and ``seed``, and the rows are its ``paths`` paths, indexed
+        0..paths-1 once each, with endpoints a walk of ``n`` steps can
+        reach: |x|, |y| <= n and both of n's parity.
         """
         path = Path(path)
         meta = json.loads(Path(str(path) + ".json").read_text())
+        missing = [key for key in ("n", "paths", "delta", "seed") if key not in meta]
+        if missing:
+            raise ValueError(f"{path}: its sidecar lacks {', '.join(map(repr, missing))}")
         n, paths = int(meta["n"]), int(meta["paths"])
         rows = path.read_text().strip().splitlines()[1:]
         if len(rows) != paths:
@@ -197,15 +201,36 @@ def _cut_ranks(u: float) -> tuple[list[float], tuple[int, ...], tuple[int, ...]]
     return cuts, tuple(cuts.index(c) + 1 for c in off), tuple(cuts.index(c) + 1 for c in on)
 
 
-def _uniform_blocks(n: int, seed: int, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (j, rows) over paths lo..hi-1: ``rows[i]`` is ``path_rng(seed, lo + j + i).random(n)``.
+def _classify(rows: np.ndarray, cuts: list[float]) -> np.ndarray:
+    """int8 count of the ``cuts`` that each uniform of ``rows`` reaches, same shape."""
+    classes = np.greater_equal(rows, cuts[0]).view(np.int8)
+    reach = np.empty(rows.shape, dtype=np.bool_)
+    for cut in cuts[1:]:
+        np.greater_equal(rows, cut, out=reach)
+        np.add(classes, reach.view(np.int8), out=classes)
+    return classes
+
+
+def _chunk_classes(u: float, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Threshold classes of paths lo..hi-1's uniforms, step-major int8 of shape (n, hi - lo).
+
+    Column i holds, for each uniform v of ``path_rng(seed, lo + i).random(n)``,
+    its class: the number j of ``step``'s six thresholds at this u (1/4, 1/2,
+    3/4 off the diagonal, u/4, u/2, (2 + u)/4 on it) with v >= cut.  With the
+    cuts sorted, c_(1) <= ... <= c_(6), v >= c_(r) holds exactly when
+    j >= r, so every comparison ``step`` makes is ``j >= rank`` for the
+    rank ``_cut_ranks`` gives its cut; ties, as at delta = 0, and the cut
+    (2 + u)/4 = 1 at u = 2 need no special case.
 
     One Philox serves the chunk.  Each path re-keys it to (seed, index) and
     restores the fresh counter and buffer, which is the state ``path_rng``
     would build, so the draws are the same bytes without a new generator
-    per path.  ``rows`` is one buffer, overwritten by the next block.
+    per path.  A block of paths is drawn path-major, classified while it is
+    still in cache, and only its int8 classes are transposed into the chunk:
+    1 byte per step instead of the 8 of its uniforms.
     """
     m = hi - lo
+    cuts = _cut_ranks(u)[0]
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     # the fresh state as Python ints: the setter casts every entry to
@@ -217,6 +242,9 @@ def _uniform_blocks(n: int, seed: int, lo: int, hi: int) -> Iterator[tuple[int, 
     # paths per block: <= 512 KB of uniforms (64 paths at n = 1024), which
     # the classifier reads while they are still in cache
     width = max(1, min(256, m, (1 << 16) // max(n, 1)))
+    # the chunk before its block: the other order read about 0.3 MB more
+    # peak RSS in the mc-critical benchmark
+    classes = np.empty((n, m), dtype=np.int8)
     block = np.empty((width, n))
     for j in range(0, m, width):
         rows = block[: min(width, m - j)]
@@ -224,43 +252,8 @@ def _uniform_blocks(n: int, seed: int, lo: int, hi: int) -> Iterator[tuple[int, 
             key[1] = (lo + j + i) & _MASK64
             bitgen.state = fresh
             gen.random(out=row)
-        yield j, rows
-
-
-def _classify(blocks: Iterable[tuple[int, np.ndarray]], n: int, m: int,
-              cuts: list[float]) -> np.ndarray:
-    """Step-major int8 classes of (j, rows) uniform blocks, shape (n, m).
-
-    Entry [k, j + i] counts the ``cuts`` that ``rows[i, k]`` reaches.  Each
-    block is classified path-major while it is still in cache, six
-    ``greater_equal`` calls added into one int8 buffer, and only that int8
-    block is transposed into the result.
-    """
-    classes = np.empty((n, m), dtype=np.int8)
-    for j, rows in blocks:
-        block = np.greater_equal(rows, cuts[0]).view(np.int8)
-        reach = np.empty(rows.shape, dtype=np.bool_)
-        for cut in cuts[1:]:
-            np.greater_equal(rows, cut, out=reach)
-            np.add(block, reach.view(np.int8), out=block)
-        classes[:, j : j + len(rows)] = block.T
+        classes[:, j : j + len(rows)] = _classify(rows, cuts).T
     return classes
-
-
-def _chunk_draws(u: float, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Threshold classes of paths lo..hi-1's uniforms, step-major, int8.
-
-    Column i holds, for each uniform v of ``path_rng(seed, lo + i).random(n)``,
-    its class: the number j of ``step``'s six thresholds at this u (1/4, 1/2,
-    3/4 off the diagonal, u/4, u/2, (2 + u)/4 on it) with v >= cut.  With the
-    cuts sorted, c_(1) <= ... <= c_(6), v >= c_(r) holds exactly when
-    j >= r, so every comparison ``step`` makes is ``j >= rank`` for the
-    rank ``_cut_ranks`` gives its cut; ties, as at delta = 0, and the cut
-    (2 + u)/4 = 1 at u = 2 need no special case.  The chunk is 1 byte per
-    step instead of the 8 of its uniforms, and ``_walk_draws`` reads only
-    the classes.
-    """
-    return _classify(_uniform_blocks(n, seed, lo, hi), n, hi - lo, _cut_ranks(u)[0])
 
 
 def _moves(v: np.ndarray, ranks: tuple[int, int, int], c: np.ndarray,
@@ -285,8 +278,8 @@ def _moves(v: np.ndarray, ranks: tuple[int, int, int], c: np.ndarray,
 def _walk_draws(u: float, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints (x, y) of the paths whose step-major threshold classes are ``classes``.
 
-    ``classes`` is what ``_chunk_draws`` returns for this u: int8 classes, so
-    comparing a class with the rank of one of step()'s cuts is comparing
+    ``classes`` is what ``_chunk_classes`` returns for this u: int8 classes,
+    so comparing a class with the rank of one of step()'s cuts is comparing
     its uniform with that cut, and the moves are step()'s bit for bit.
 
     A path's move depends on its draw and on one bit of state: whether it
@@ -296,27 +289,20 @@ def _walk_draws(u: float, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     1/2 and 3/4 off it.  This gives int8 rows of the D step and of the
     -1-in-x flag off the diagonal, and of how each changes on it.
 
-    The step loop then carries only D, in four int8 ufunc calls per step
-    into preallocated rows, with no ``np.where``, cast or mixed-dtype
-    operand: compare D with the value that puts the path on the diagonal,
-    scale the on-diagonal change by that bit, add the off-diagonal step, and
-    add the result to D.  The on bits are kept, so the -1 moves are counted
-    once per block; x = n - 2 * (number of -1 moves) and y = x - 2D.
-
-    Within a block D is an int8 offset from its int64 value at the block's
-    start, and the comparison's target, -D at the start, is clipped to one
-    more than the block length.  The offset moves at most one per step, so
-    it cannot reach a clipped target, and the comparison stays exact.
+    The step loop then carries only D, in four ufunc calls per step into
+    preallocated rows: compare D with 0, scale the on-diagonal change by
+    that bit, add the off-diagonal step, and add the result to D.  D is one
+    array of the smallest signed integer dtype that holds -n - 1, so it
+    holds +-n.  The on bits are kept, so the -1 moves are counted once per
+    block; x = n - 2 * (number of -1 moves) and y = x - 2D.
     """
     n, m = classes.shape
     rows = max(1, min(_WALK_BLOCK, n))
     c = np.empty((3, rows, m), dtype=np.bool_)
     on = np.empty((rows, m), dtype=np.bool_)
     table = np.empty((4, rows, m), dtype=np.int8)
-    d = np.zeros(m, dtype=np.int64)
+    d = np.zeros(m, dtype=np.min_scalar_type(-n - 1))
     minus = np.zeros(m, dtype=np.int64)
-    d_block = np.empty(m, dtype=np.int8)
-    target = np.zeros(m, dtype=np.int8)  # -d, clipped into int8
     d_step = np.empty(m, dtype=np.int8)
     _, off_ranks, on_ranks = _cut_ranks(u)
     for k in range(0, n, rows):
@@ -328,19 +314,16 @@ def _walk_draws(u: float, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.subtract(d_gap, d_off, out=d_gap)  # on-diagonal step minus off-diagonal step
         np.subtract(minus_gap, minus_off, out=minus_gap)
         on8 = on[:r].view(np.int8)
-        d_block.fill(0)
         for j in range(r):
-            np.equal(d_block, target, out=on[j])
+            np.logical_not(d, out=on[j])  # D == 0, without a scalar operand to convert
             np.multiply(on8[j], d_gap[j], out=d_step)
             np.add(d_step, d_off[j], out=d_step)
-            np.add(d_block, d_step, out=d_block)
+            np.add(d, d_step, out=d)
         np.multiply(on8, minus_gap, out=minus_gap)
         np.add(minus_gap, minus_off, out=minus_gap)
         minus += minus_gap.sum(axis=0, dtype=np.int16)
-        d += d_block
-        np.clip(-d, -rows - 1, rows + 1, out=target, casting="unsafe")
     x = n - 2 * minus
-    return x, x - 2 * d
+    return x, x - 2 * d.astype(np.int64)
 
 
 def simulate_endpoints(
@@ -372,7 +355,7 @@ def simulate_endpoints(
         )
     chunk = _chunk_paths(n)
     spans = [(lo, min(lo + chunk, paths)) for lo in range(0, paths, chunk)]
-    parts = [_walk_draws(p.u, _chunk_draws(p.u, n, seed, lo, hi)) for lo, hi in spans]
+    parts = [_walk_draws(p.u, _chunk_classes(p.u, n, seed, lo, hi)) for lo, hi in spans]
     x = np.concatenate([part[0] for part in parts])
     y = np.concatenate([part[1] for part in parts])
     x.setflags(write=False)

@@ -117,8 +117,8 @@ def integrate_01(
     into a smooth integrand.  Deterministic; raises QuadratureError with the
     achieved error estimate if the tolerance cannot be met.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be > 0")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if singular_sqrt_at_zero:
         g = lambda y: 2.0 * y * f(y * y)
     else:

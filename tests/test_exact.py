@@ -427,3 +427,6 @@ def test_series_truncation_bound():
             assert z ** (N + 1) / (1.0 - z) <= tol
             if N > 0:
                 assert z ** N / (1.0 - z) > tol
+    for tol in (0.0, -1e-10, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            series_truncation(0.5, tol)

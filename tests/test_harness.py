@@ -40,7 +40,7 @@ def test_sweep_config_validation():
     for grid in (((math.nan, 1.0),), ((1.0, 1.0), (0.5, math.inf)), ((-math.inf, 0.0),)):
         with pytest.raises(ValueError):
             SweepConfig(regime=regime, n_list=(64,), grid=grid)
-    for quad_tol in (0.0, -1e-10, math.nan):
+    for quad_tol in (0.0, -1e-10, math.nan, math.inf):
         with pytest.raises(ValueError):
             SweepConfig(regime=regime, n_list=(64,), grid=((1.0, 1.0),), quad_tol=quad_tol)
 
@@ -378,6 +378,10 @@ def test_cli_config_unknown_key_exits_2(tmp_path, capsys):
     ["exact-cf", "--del", "2"],  # flags are not abbreviated
     ["limit-cf", "--regime", "critical", "--alpha", "1", "--s", "1", "--t", "1", "--tol", "nan"],
     ["gf-check", "--tol", "nan"],
+    # an infinite tolerance: no bound on the series tail or the quadrature error
+    ["gf-check", "--tol", "inf"],
+    ["limit-cf", "--regime", "critical", "--alpha", "0.3", "--s", "2.5", "--t", "2", "--tol", "inf"],
+    ["sweep", "--regime", "critical", "--alpha", "0.3", "--n", "64", "--grid", "2", "--tol", "inf"],
     ["limit-cf", "--regime", "sub", "--alpha", "3"],  # --alpha would be ignored
     ["sweep", "--regime", "super", "--alpha", "3"],
     ["sweep", "--regime", "critical", "--alpha", "inf", "--n", "4", "--grid", "1"],

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -13,10 +14,9 @@ from stickywalk.kernel import (
     EndpointSample,
     StickinessParam,
     WalkState,
-    _chunk_draws,
+    _chunk_classes,
     _classify,
     _cut_ranks,
-    _uniform_blocks,
     _walk_draws,
     path_rng,
     simulate_endpoints,
@@ -29,10 +29,10 @@ class FakeRNG:
     """Feeds preset uniforms to step() so each kernel interval can be hit exactly."""
 
     def __init__(self, values):
-        self.values = list(values)
+        self.values = iter(values)
 
     def random(self):
-        return self.values.pop(0)
+        return next(self.values)
 
 
 def test_stickiness_u_examples():
@@ -116,11 +116,10 @@ def test_step_one_step_law_matches_kernel():
 
 
 def _assert_walk_draws_is_step(p, columns):
-    # the columns as one block of uniforms through the chunk's classifier,
-    # then _walk_draws over those classes, against step() fed each column
-    # in turn
-    n, m = len(columns[0]), len(columns)
-    classes = _classify([(0, np.array(columns))], n, m, _cut_ranks(p.u)[0])
+    # the columns as one path-major block of uniforms through the chunk's
+    # classifier, transposed step-major, then _walk_draws over those classes,
+    # against step() fed each column in turn
+    classes = _classify(np.array(columns), _cut_ranks(p.u)[0]).T
     x, y = _walk_draws(p.u, classes)
     for i, column in enumerate(columns):
         state, rng = WalkState(0, 0, 0), FakeRNG(column)
@@ -151,6 +150,16 @@ def test_walk_draws_matches_step_on_long_excursions():
     # at u = 1.5, 0.3 is "together, -1" at D = 1 but "together, +1" on the diagonal
     columns = [[0.1] * i + away + back + [0.3] * (148 - i) for i in range(128)]
     _assert_walk_draws_is_step(StickinessParam(2.0), columns)
+
+
+@pytest.mark.parametrize("n", [127, 128, 32767, 32768])
+def test_walk_draws_d_at_the_edges_of_its_dtype(n):
+    # D is kept in the smallest signed dtype holding -n - 1: int8 up to
+    # n = 127, int16 from 128, int32 from 32768.  A path that leaves the
+    # diagonal and never comes back ends at D = n, the dtype's largest value
+    # at n = 127 and 32767 and one past int8's or int16's at 128 and 32768
+    # (u = 1.5: 0.8 is apart +1 on the diagonal, 0.6 apart +1 off it)
+    _assert_walk_draws_is_step(StickinessParam(2.0), [[0.8] + [0.6] * (n - 1)])
 
 
 def test_simulate_zero_steps():
@@ -268,18 +277,11 @@ def test_endpoint_bytes_pinned_short_paths_top_seed(n, want):
 @pytest.mark.parametrize("seed", [0, -1, 2**63, 2**64 - 1, 2**70 + 3])
 def test_chunk_draws_equal_path_streams(n, seed):
     # the re-keyed chunk stream is each path's own stream: keys masked to
-    # 64 bits, counter and buffer reset per path, two blocks; each uniform
-    # is checked before it is classified, and each column of classes counts
-    # the thresholds its path's uniforms reach
+    # 64 bits, counter and buffer reset per path, two blocks; each column of
+    # classes counts the thresholds its path's uniforms reach
     lo, hi = 1000, 1300
-    seen = []
-    for j, rows in _uniform_blocks(n, seed, lo, hi):
-        for i, row in enumerate(rows):
-            assert np.array_equal(row, path_rng(seed, lo + j + i).random(n))
-            seen.append(j + i)
-    assert seen == list(range(hi - lo))
     u = StickinessParam(2.0).u
-    classes = _chunk_draws(u, n, seed, lo, hi)
+    classes = _chunk_classes(u, n, seed, lo, hi)
     assert classes.shape == (n, hi - lo) and classes.dtype == np.int8
     cuts = (0.25, 0.5, 0.75, 0.25 * u, 0.5 * u, 0.25 * (2.0 + u))
     for i in range(hi - lo):
@@ -294,7 +296,7 @@ def test_chunk_peak_memory_is_its_draws():
     u = StickinessParam(64.0).u
     tracemalloc.start()
     try:
-        _walk_draws(u, _chunk_draws(u, n, 0, 0, paths))
+        _walk_draws(u, _chunk_classes(u, n, 0, 0, paths))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -334,6 +336,18 @@ def test_read_csv_refuses_a_file_write_csv_could_not_have_written(tmp_path, rows
     simulate_endpoints(StickinessParam(0.5), 10, 5, seed=1).write_csv(out)
     out.write_text("\n".join(["path_index,x,y", *rows]) + "\n")
     with pytest.raises(ValueError):
+        EndpointSample.read_csv(out)
+
+
+@pytest.mark.parametrize("key", ["n", "paths", "delta", "seed"])
+def test_read_csv_names_a_key_its_sidecar_lacks(tmp_path, key):
+    out = tmp_path / "sample.csv"
+    simulate_endpoints(StickinessParam(0.5), 10, 5, seed=1).write_csv(out)
+    sidecar = tmp_path / "sample.csv.json"
+    meta = json.loads(sidecar.read_text())
+    del meta[key]
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=f"'{key}'"):
         EndpointSample.read_csv(out)
 
 

@@ -128,6 +128,6 @@ def test_integrate_failure_reports_estimate():
 
 
 def test_integrate_bad_tol():
-    for tol in (0.0, math.nan):  # NaN would pass a `tol <= 0` check
+    for tol in (0.0, math.nan, math.inf):  # NaN would pass a `tol <= 0` check
         with pytest.raises(ValueError):
             integrate_01(lambda x: 1.0, tol=tol)
