@@ -14,8 +14,9 @@ reader can see how far the repeats of one run spread:
 - ``simulate_endpoints``: n = 1024, 2e4 paths, seed 7, mc-critical's shape;
 - ``h one angle n=N`` and ``h batch n=N``: the h recursion at n = 1024, 4096
   and 16384, for the middle one and for all of the 15 distinct
-  (s + t) / sqrt(n) of the default sweep grid; every batch row must equal its
-  one-angle call byte for byte, or the script stops;
+  (s + t) / sqrt(n) of the default sweep grid, which come in +- pairs and
+  so have 8 distinct cosines, one recursion column each; every batch row
+  must equal its one-angle call byte for byte, or the script stops;
 - ``char_fn_exact grid``: the 36 points of that grid at n = 4096, with the h0
   cache cleared;
 - ``endpoint_distribution``: the enumeration oracle at n = 12, its cache

@@ -31,6 +31,7 @@ from .kernel import StickinessParam, simulate_endpoints
 from .limits import RegimeSpec, limit_cf
 
 _REGIMES = {"sub": "subcritical", "critical": "critical", "super": "supercritical"}
+_QUAD_TOL = 1e-10  # the critical limit's default quadrature tolerance
 _COUPLINGS = {"kernel": CouplingVariant.KERNEL, "paper": CouplingVariant.PAPER}
 # flags a command cannot run without; a config file may supply them
 _REQUIRED = {"sweep": ("regime",), "limit-cf": ("regime",), "covariance": ("alpha",),
@@ -110,6 +111,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     def regime(p):
         p.add_argument("--regime", choices=sorted(_REGIMES))
         p.add_argument("--alpha", type=float, help="critical-regime scale delta_n / sqrt(n)")
+        p.add_argument("--tol", type=float,
+                       help=f"critical-regime quadrature tolerance (default {_QUAD_TOL:g})")
 
     def sampler(p, paths_min: int, paths_default: int):
         p.add_argument("--paths", type=_int(paths_min), default=paths_default)
@@ -125,8 +128,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="comma list of axis values; grid is the square")
     sampler(p, paths_min=0, paths_default=0)
     coupling(p)
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="quadrature tolerance for the limit side")
 
     p = command("covariance", "n^-1 E[x y] at delta = alpha sqrt(n) vs limit",
                 out=True, fmt=True)
@@ -145,7 +146,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     regime(p)
     p.add_argument("--s", type=float, default=0.0)
     p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=1e-10)
 
     p = command("mc", "simulate endpoints and write CSV + JSON sidecar", out=True)
     p.add_argument("--delta", type=float, default=1.0)
@@ -257,8 +257,12 @@ def main(argv=None) -> int:
         missing.append("--alpha (the critical regime needs it)")
     if missing:
         sub.error("missing " + ", ".join(missing))
-    if getattr(args, "regime", None) not in (None, "critical") and args.alpha is not None:
-        sub.error("--alpha applies only to --regime critical")
+    regime = getattr(args, "regime", None)
+    for flag in ("alpha", "tol"):
+        if regime not in (None, "critical") and getattr(args, flag) is not None:
+            sub.error(f"--{flag} applies only to --regime critical")
+    if regime is not None and args.tol is None:
+        args.tol = _QUAD_TOL
     out = getattr(args, "out", None)
     if out is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):
         # refused before the work, not when the result is written

@@ -5,10 +5,10 @@ Two independent computation routes are kept deliberately separate:
 * a one-step recursion for the diagonal Fourier sequence h(j, t, n), which
   yields the full characteristic function f(s, t, n), plus closed forms for
   the generating functions H(j, t, z) = sum_n h(j, t, n) z^n.  One recursion
-  steps every angle of a batch together, and carries only the cells whose
-  |h| reaches the smallest normal double at some angle (about 27 sqrt(k) of
-  them after k steps for small angles), so its cost is O(n^1.5) cells per
-  angle rather than O(n^2);
+  steps every distinct cos t of a batch together, and carries only the cells
+  whose |h| reaches the smallest normal double at some angle (about
+  27 sqrt(k) of them after k steps for small angles), so its cost is
+  O(n^1.5) cells per distinct cosine rather than O(n^2) per angle;
 * an enumeration of all 4**n move sequences (with the diagonal-dependent
   weights) that serves as a brute-force oracle for small n.  It is split at
   n // 2, meet in the middle: each sequence is still one term, and the cost
@@ -48,8 +48,9 @@ __all__ = [
 ]
 
 _ENUM_MAX_N = 14
-# the h recursion to 2**15 takes about 0.55 s for one angle and 3.0 s for a
-# batch of 15 small angles (2-core x86-64 host, numpy 2.4)
+# the h recursion to 2**15 takes about 0.45 s for one angle and 1.6 s for the
+# 15 distinct angles of the default sweep grid, which have 8 distinct cosines
+# (2-core x86-64 host, numpy 2.4)
 _H_MAX_N = 1 << 15
 _TINY = np.finfo(np.float64).tiny
 _ENUM_CHUNK = 1 << 21
@@ -85,8 +86,15 @@ def diag_fourier_sequence(u: float, t, n: int, j: int = 0) -> np.ndarray:
     h(1, n+1) = ((2-u)/4) h(0, n) + (cos t / 2) h(1, n) + (1/4) h(2, n)
     h(j, n+1) = (1/4) h(j-1, n) + (cos t / 2) h(j, n) + (1/4) h(j+1, n), j >= 2
 
-    All angles step together on a j-major (rows, len(t)) buffer, with the
-    floating-point operations of one angle alone, in the same order.
+    The recursion reads t only through cos t, so it runs one column per
+    distinct cos t (angles merge only when their computed cosines are equal
+    bit for bit, e.g. t and -t), in first-seen order, and each angle's row
+    is copied from its column.  All columns step together on a j-major
+    (rows, columns) buffer, with the floating-point operations of one angle
+    alone, in the same order, so equal cosines give equal bytes; and the
+    frontier test below takes a maximum over columns that dropping repeated
+    ones leaves unchanged, so every output byte is that of one column per
+    angle.
 
     Frontier: a step computes one row more than it carries in.  If that new
     frontier cell is below np.finfo(float).tiny at every angle, it is zeroed
@@ -117,10 +125,13 @@ def diag_fourier_sequence(u: float, t, n: int, j: int = 0) -> np.ndarray:
     angles = t_arr.reshape(-1).tolist()
     if not all(map(math.isfinite, angles)):
         raise ValueError(f"angles must be finite, got t = {t!r}")
-    out = np.zeros((len(angles), n + 1))
+    column = {}  # the bits of each distinct cos t -> its column
+    index = [column.setdefault(math.cos(a).hex(), len(column)) for a in angles]
+    out = np.zeros((len(column), n + 1))
     out[:, 0] = 1.0 if j == 0 else 0.0
-    if n > 0 and angles:
-        _h_steps(u, np.array([math.cos(a) for a in angles]), j, out.T)
+    if n > 0 and column:
+        _h_steps(u, np.array([float.fromhex(c) for c in column]), j, out.T)
+    out = out[index]
     return out[0] if t_arr.ndim == 0 else out
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stickywalk.exact as exact
 from stickywalk.errors import CapacityError
 from stickywalk.exact import (
     CouplingVariant,
@@ -112,6 +113,26 @@ def test_h_frontier_error_bound(t, j, n):
     got = diag_fourier_sequence(u, t, n, j=j)
     want = per_angle_h_sequence(u, t, n, j)
     assert np.max(np.abs(got - want)) <= 2 * n * np.finfo(np.float64).tiny
+
+
+def test_h_repeated_cosines_share_a_column_bytes():
+    # t and -t, an exact repeat and 0: one column per distinct cos t, and the
+    # rows are the bytes of one column per angle
+    u = StickinessParam(5.0).u
+    angles = [0.01, -0.01, 0.3, 0.01, 0.0, -0.3]
+    distinct = [0.01, 0.3, 0.0]
+    column = [0, 0, 1, 0, 2, 1]
+    for j in (0, 1, 3):
+        batch = diag_fourier_sequence(u, angles, 300, j=j)
+        for t, got in zip(angles, batch):
+            assert got.tobytes() == diag_fourier_sequence(u, t, 300, j=j).tobytes(), (j, t)
+    # next to the frontier, where the carried rows depend on every column
+    j, n = 600, 1500
+    batch = diag_fourier_sequence(u, angles, n, j=j)
+    assert batch.tobytes() == diag_fourier_sequence(u, distinct, n, j=j)[column].tobytes()
+    per_angle = np.zeros((len(angles), n + 1))
+    exact._h_steps(u, np.array([math.cos(t) for t in angles]), j, per_angle.T)
+    assert batch.tobytes() == per_angle.tobytes()
 
 
 def test_h_angle_shapes_and_validation():

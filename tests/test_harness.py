@@ -140,6 +140,23 @@ def test_run_sweep_bytes_match_per_point_recursion(monkeypatch):
     assert write_report(run_sweep(config), fmt="csv") == batched
 
 
+def test_run_sweep_runs_one_h_column_per_distinct_cosine(monkeypatch):
+    # the default grid's 15 distinct (s + t) / sqrt(n) come in +- pairs:
+    # 8 distinct cosines, so 8 recursion columns at each n
+    sizes = []
+    real = exact._h_steps
+
+    def spying(u, ct, j, col):
+        sizes.append(ct.size)
+        return real(u, ct, j, col)
+
+    monkeypatch.setattr(exact, "_h_steps", spying)
+    exact._h0_prefix.cache_clear()
+    config = SweepConfig(regime=RegimeSpec.critical(2.0), n_list=(256, 1024, 4096))
+    assert not any(row.error for row in run_sweep(config))
+    assert sizes == [8, 8, 8]
+
+
 def test_run_sweep_computes_each_limit_once(monkeypatch):
     calls = []
     real = harness.limit_cf
@@ -364,6 +381,8 @@ def test_cli_config_unknown_key_exits_2(tmp_path, capsys):
         ("regime=nonsense\n", "limit-cf", "nonsense"),  # values are checked like flags
         ("workers=2\n", "mc", "workers"),  # the sampler has no worker count
         ("regime=sub\nalpha=3\n", "limit-cf", "--alpha applies only"),  # known, but sub ignores it
+        ("regime=sub\ntol=1e-8\n", "limit-cf", "--tol applies only"),
+        ("regime=super\nn=64\ntol=1e-8\n", "sweep", "--tol applies only"),
     ):
         cfg.write_text(text)
         _assert_usage_error([command, "--config", str(cfg)])
@@ -397,6 +416,10 @@ def test_cli_config_unknown_key_exits_2(tmp_path, capsys):
     ["covariance", "--alpha", "2", "--n", "10", "--out", "/nonexistent/c.csv"],
     ["mc", "--n", "10", "--paths", "10", "--out", "."],
     ["mc", "--n", "10", "--paths", "10", "--out", ""],
+    # --tol would be ignored: sub and super have closed forms, no quadrature
+    ["limit-cf", "--regime", "sub", "--s", "1", "--t", "1", "--tol", "inf"],
+    ["limit-cf", "--regime", "super", "--tol", "1e-10"],
+    ["sweep", "--regime", "sub", "--n", "64", "--grid", "1", "--tol", "1e-8"],
 ])
 def test_cli_missing_or_unparsable_flag_exits_2(argv):
     _assert_usage_error(argv)
