@@ -17,8 +17,10 @@ reader can see how far the repeats of one run spread:
   (s + t) / sqrt(n) of the default sweep grid, which come in +- pairs and
   so have 8 distinct cosines, one recursion column each; every batch row
   must equal its one-angle call byte for byte, or the script stops;
-- ``char_fn_exact grid``: the 36 points of that grid at n = 4096, with the h0
-  cache cleared;
+- ``char_fn_exact grid``: the 36 points of that grid at n = 4096, in one call;
+- ``char_fn_exact 25 one-point calls n=12``: one call per point of a 5 x 5
+  grid of angles drawn uniformly from [-pi, pi) (seed 7), enum-oracle's call
+  pattern, one h recursion per call;
 - ``endpoint_distribution``: the enumeration oracle at n = 12, its cache
   cleared;
 - ``limit_cf grid``: the 36 ``phi_critical`` quadratures of one default-grid
@@ -42,6 +44,7 @@ import math
 import multiprocessing
 import os
 import platform
+import random
 import statistics
 import sys
 import time
@@ -112,11 +115,13 @@ def h_rows(repeats: int) -> dict[str, list[float]]:
 
     s_axis, t_axis = np.array(grid).T / math.sqrt(4096)
 
-    def cf_grid():
-        exact._h0_prefix.cache_clear()
-        exact.char_fn_exact(param(4096), s_axis, t_axis, 4096)
+    rows["char_fn_exact grid n=4096"] = times_s(
+        lambda: exact.char_fn_exact(param(4096), s_axis, t_axis, 4096), repeats)
 
-    rows["char_fn_exact grid n=4096"] = times_s(cf_grid, repeats)
+    p, rng = param(12), random.Random(SEED)
+    angles = [rng.uniform(-math.pi, math.pi) for _ in range(5)]
+    rows["char_fn_exact 25 one-point calls n=12"] = times_s(
+        lambda: [exact.char_fn_exact(p, s, t, 12) for s in angles for t in angles], repeats)
     return rows
 
 

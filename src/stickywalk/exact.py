@@ -8,11 +8,12 @@ Two independent computation routes are kept deliberately separate:
   steps every distinct cos t of a batch together, and carries only the cells
   whose |h| reaches the smallest normal double at some angle (about
   27 sqrt(k) of them after k steps for small angles), so its cost is
-  O(n^1.5) cells per distinct cosine rather than O(n^2) per angle;
+  O(n^1.5) cells per distinct cosine rather than O(n^2) per angle, and
+  nothing is cached between calls;
 * an enumeration of all 4**n move sequences (with the diagonal-dependent
   weights) that serves as a brute-force oracle for small n.  It is split at
   n // 2, meet in the middle: each sequence is still one term, and the cost
-  is about 4**n pairs + (a+1)*(n-a)*4**(n-a) suffix steps with a = n // 2.
+  is about 4**n pairs + (2a+1)*(n-a)*4**(n-a) suffix steps with a = n // 2.
 
 h(j, t, n) is the Fourier transform, in the center coordinate a, of the
 probability that the pair sits at (a - j, a + j).  The one-step recursion has
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -178,14 +180,6 @@ def _h_steps(u: float, ct: np.ndarray, j: int, col: np.ndarray) -> None:
         cur, nxt = nxt, cur
 
 
-@lru_cache(maxsize=32)
-def _h0_prefix(u: float, w: tuple[float, ...], n: int) -> np.ndarray:
-    """h(0, w_i, k) for k = 0..n, one read-only row per angle of w."""
-    arr = diag_fourier_sequence(u, np.array(w), n)
-    arr.setflags(write=False)
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # full characteristic function
 # ---------------------------------------------------------------------------
@@ -203,16 +197,16 @@ def char_fn_exact(
     s,
     t,
     n: int,
-    variant: CouplingVariant = CouplingVariant.KERNEL,
+    variant: CouplingVariant | Sequence[CouplingVariant] = CouplingVariant.KERNEL,
 ):
     """E[exp(i s x + i t y)] at step n, via f(k+1) = cos s cos t f(k) + c h(0, s+t, k).
 
     s and t are two angles, giving a complex, or two equal-length sequences,
-    giving a complex ndarray with one value per (s[i], t[i]).  One h
-    recursion serves every point: it runs over the sorted distinct s + t, and
-    its prefix is cached by (u, those angles, n).  Cost is that recursion
-    (see diag_fourier_sequence) plus O(n) per point.  Non-finite angles
-    raise ValueError.
+    giving a complex ndarray with one value per (s[i], t[i]); variant is one
+    CouplingVariant, or a sequence of one per point.  Each call runs one h
+    recursion over the distinct s + t and caches nothing.  Cost is that
+    recursion (see diag_fourier_sequence) plus O(n) per point.  Non-finite
+    angles, or a variant sequence of the wrong length, raise ValueError.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -223,15 +217,18 @@ def char_fn_exact(
     s_list, t_list = s_arr.reshape(-1).tolist(), t_arr.reshape(-1).tolist()
     if not all(map(math.isfinite, s_list + t_list)):
         raise ValueError("angles must be finite")
+    variants = [variant] * len(s_list) if isinstance(variant, str) else list(variant)
+    if len(variants) != len(s_list):
+        raise ValueError(f"variant: one coupling or one per point, not {len(variants)}")
     values = np.ones(len(s_list), dtype=np.complex128)
     if n > 0 and s_list:
         w = [a + b for a, b in zip(s_list, t_list)]
-        keys = tuple(sorted(set(w)))
-        h0 = dict(zip(keys, _h0_prefix(p.u, keys, n - 1)))
+        sums = list(dict.fromkeys(w))
+        h0 = dict(zip(sums, diag_fourier_sequence(p.u, sums, n - 1)))
         exponents = np.arange(n - 1, -1, -1, dtype=np.float64)
-        for i, (a, b, key) in enumerate(zip(s_list, t_list, w)):
+        for i, (a, b, key, coupling) in enumerate(zip(s_list, t_list, w, variants)):
             cc = math.cos(a) * math.cos(b)
-            c = coupling_coefficient(p, a, b, variant)
+            c = coupling_coefficient(p, a, b, coupling)
             values[i] = cc ** n + c * float((cc ** exponents) @ h0[key])
     return complex(values[0]) if s_arr.ndim == 0 else values
 
@@ -270,13 +267,12 @@ def endpoint_distribution(delta: float, n: int) -> np.ndarray:
     Returns a read-only (2n+1, 2n+1) array indexed [x + n, y + n].  Each
     sequence is split at a = n // 2 (meet in the middle, Horowitz & Sahni,
     J. ACM 21, 1974).  The 4**a prefixes are walked once from the origin.  A
-    suffix's weight depends only on its start offset d = x - y, and from -d
-    the x <-> y mirror of a suffix meets the diagonal at the same steps, so
-    the 4**(n-a) suffixes are walked once from each |d| = 0, 2, .., 2a.  Every
-    prefix is then paired with every suffix from its offset: each sequence is
+    suffix's weight depends only on its start offset d = x - y, so the
+    4**(n-a) suffixes are walked once from each even d = -2a..2a, and every
+    prefix is paired with every suffix from its own offset: each sequence is
     still one term, weight prefix * suffix at endpoint prefix end + suffix
     displacement, and no two histories are merged.  Cost about 4**n pairs +
-    (a+1)*(n-a)*4**(n-a) suffix steps, accumulated by bincount in chunks of
+    (2a+1)*(n-a)*4**(n-a) suffix steps, accumulated by bincount in chunks of
     at most _ENUM_CHUNK pairs, hence the hard cap on n.  This is independent
     of the Fourier recursion.
     """
@@ -293,20 +289,16 @@ def endpoint_distribution(delta: float, n: int) -> np.ndarray:
     px, py, prefix_wt = _walk_all(a, 0, *weights)
     prefix_flat = (px + n) * size + (py + n)
     prefix_off = px - py
-    suffix_wt = {}
-    for d in range(0, 2 * a + 1, 2):
-        sx, sy, suffix_wt[d] = _walk_all(n - a, d, *weights)
-    suffix_flat = sx * size + sy
-    mirror_flat = sy * size + sx  # the suffixes from -d
-    rows = _ENUM_CHUNK // sx.shape[0]  # >= 128 prefixes: 4**(n - a) <= 4**7
+    rows = _ENUM_CHUNK >> 2 * (n - a)  # >= 128 prefixes: 4**(n - a) <= 4**7
     table = np.zeros(size * size)
     for d in range(-2 * a, 2 * a + 1, 2):  # every even offset occurs
         sel = prefix_off == d
         p_flat, p_wt = prefix_flat[sel], prefix_wt[sel]
-        s_flat = suffix_flat if d >= 0 else mirror_flat
+        sx, sy, s_wt = _walk_all(n - a, d, *weights)
+        s_flat = sx * size + sy
         for lo in range(0, p_flat.shape[0], rows):
             flat = (p_flat[lo : lo + rows, None] + s_flat).ravel()
-            wt = (p_wt[lo : lo + rows, None] * suffix_wt[abs(d)]).ravel()
+            wt = (p_wt[lo : lo + rows, None] * s_wt).ravel()
             table += np.bincount(flat, weights=wt, minlength=size * size)
     table = table.reshape(size, size)
     table.setflags(write=False)

@@ -349,11 +349,9 @@ def gf_gaps(deltas, zs, ts, js) -> dict:
 def variant_values(delta: float, s: float, t: float, n: int) -> dict:
     """f at one point under both couplings, and its enumeration value."""
     p = StickinessParam(delta)
-    return {
-        "paper": char_fn_exact(p, s, t, n, CouplingVariant.PAPER),
-        "kernel": char_fn_exact(p, s, t, n, CouplingVariant.KERNEL),
-        "oracle": brute_force_char(p, s, t, n),
-    }
+    paper, kernel = char_fn_exact(p, [s, s], [t, t], n,
+                                  [CouplingVariant.PAPER, CouplingVariant.KERNEL]).tolist()
+    return {"paper": paper, "kernel": kernel, "oracle": brute_force_char(p, s, t, n)}
 
 
 def variant_sup_gaps(axis, ns) -> list[float]:
@@ -361,11 +359,12 @@ def variant_sup_gaps(axis, ns) -> list[float]:
     delta = sqrt(n) and angles scaled by 1/sqrt(n)."""
     sups = []
     s_grid, t_grid = _grid_axes(axis)
+    couplings = [CouplingVariant.KERNEL] * s_grid.size + [CouplingVariant.PAPER] * s_grid.size
     for n in ns:
         p = StickinessParam(math.sqrt(n))
         rn = math.sqrt(n)
-        kernel = char_fn_exact(p, s_grid / rn, t_grid / rn, n, CouplingVariant.KERNEL).real
-        paper = char_fn_exact(p, s_grid / rn, t_grid / rn, n, CouplingVariant.PAPER).real
+        both = char_fn_exact(p, np.tile(s_grid / rn, 2), np.tile(t_grid / rn, 2), n, couplings)
+        kernel, paper = np.split(both.real, 2)
         sups.append(_worst(np.abs(kernel - paper)))
     return sups
 
@@ -484,12 +483,13 @@ def _normalization_symmetry(deltas) -> dict:
         for n in (5, 23):
             hj = [diag_fourier_sequence(p.u, 0.0, n, j=j)[n] for j in range(n + 1)]
             out["mass"].append(abs(hj[0] + 2.0 * sum(hj[1:]) - 1.0))
-        for coupling in CouplingVariant:
-            out["f00"].append(abs(char_fn_exact(p, 0.0, 0.0, 23, coupling) - 1.0))
-            for s, t in ((0.3, -1.2), (2.0, 0.7)):
-                a = char_fn_exact(p, s, t, 17, coupling)
-                out["imag"].append(abs(a.imag))
-                out["exchange"].append(abs(a - char_fn_exact(p, t, s, 17, coupling)))
+        f00 = char_fn_exact(p, [0.0, 0.0], [0.0, 0.0], 23, list(CouplingVariant))
+        out["f00"] += np.abs(f00 - 1.0).tolist()
+        # each (s, t) under each coupling, then the same points exchanged
+        s, t, c = zip(*((s, t, c) for c in CouplingVariant for s, t in ((0.3, -1.2), (2.0, 0.7))))
+        f, exchanged = np.split(char_fn_exact(p, s + t, t + s, 17, c + c), 2)
+        out["imag"] += np.abs(f.imag).tolist()
+        out["exchange"] += np.abs(f - exchanged).tolist()
         out["h_max"].append(float(np.max(np.abs(diag_fourier_sequence(p.u, 1.1, 64)))))
     return {key: _worst(values) for key, values in out.items()}
 

@@ -54,11 +54,11 @@ _WALK_BLOCK = 32
 
 
 def stickiness_u(delta: float) -> float:
-    """Diagonal bias u = (2 + 2*delta) / (2 + delta), in [1, 2) for finite delta."""
+    """Diagonal bias u = (2 + 2*delta) / (2 + delta): in [1, 2], exactly 2.0 from delta ~ 1e17."""
     delta = float(delta)
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
-    return (2.0 + 2.0 * delta) / (2.0 + delta)
+    return 2.0 if math.isinf(2.0 * delta) else (2.0 + 2.0 * delta) / (2.0 + delta)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,8 @@ _DEGENERATE_RTOL = 1e-12
 _IMAG_TOL = 1e-8
 # truncate infinite Laplace quadratures where exp(-lam x) < 1e-12
 _TRUNC_LOG = 12.0 * math.log(10.0)
+# the smallest alpha whose alpha^2 is a normal double (2**-1022)
+_ALPHA_MIN = 2.0 ** -511
 
 REGIME_KINDS = ("subcritical", "critical", "supercritical")
 
@@ -64,8 +66,8 @@ def limit_params(alpha: float, w: float) -> LimitParams:
     """gamma, b1, b2 for (alpha, w); flags the degenerate case alpha^-2 = w^2/4."""
     alpha = float(alpha)
     w = float(w)
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
+    if not (math.isfinite(alpha) and alpha >= _ALPHA_MIN):
+        raise ValueError(f"alpha must be finite and >= 2**-511, got {alpha!r}")
     if not math.isfinite(w):
         raise ValueError(f"w must be finite, got {w!r}")
     inv_a2 = 1.0 / (alpha * alpha)
@@ -131,8 +133,8 @@ class RegimeSpec:
         if self.kind not in REGIME_KINDS:
             raise ValueError(f"kind must be one of {REGIME_KINDS}, got {self.kind!r}")
         if self.kind == "critical":
-            if self.alpha is None or not (math.isfinite(self.alpha) and self.alpha > 0):
-                raise ValueError(f"critical regime needs a finite alpha > 0, got {self.alpha!r}")
+            if self.alpha is None or not (math.isfinite(self.alpha) and self.alpha >= _ALPHA_MIN):
+                raise ValueError(f"critical needs a finite alpha >= 2**-511, got {self.alpha!r}")
             return
         exponent = self.exponent
         if exponent is None:
@@ -200,13 +202,20 @@ def phi_critical(alpha: float, s: float, t: float, tol: float = 1e-10) -> float:
     """Critical limiting Fourier transform:
 
     exp(-(s^2+t^2)/2) [ 1 - t s  integral_0^1 exp((s^2+t^2) x / 2) ell_{alpha,s+t}(x) dx ].
+
+    Raises ValueError where the quadrature's exp((s^2+t^2) x / 2) overflows.
     """
     theta = 0.5 * (s * s + t * t)
     gauss = math.exp(-theta)
     params = limit_params(alpha, s + t)  # checks alpha on the shortcut too
     if s == 0.0 or t == 0.0:
         return gauss
-    weighted = integrate_01(lambda x: math.exp(theta * x) * ell(params, x), tol=tol)
+    try:
+        if math.isinf(theta):  # then exp(theta x) is inf, not an error, for x > 0
+            raise OverflowError
+        weighted = integrate_01(lambda x: math.exp(theta * x) * ell(params, x), tol=tol)
+    except OverflowError:
+        raise ValueError(f"exp((s^2 + t^2) x / 2) overflows at s = {s!r}, t = {t!r}") from None
     return gauss * (1.0 - t * s * weighted)
 
 
@@ -220,7 +229,10 @@ def limit_cf(regime: RegimeSpec, s: float, t: float, tol: float = 1e-10) -> floa
     if regime.kind == "subcritical":
         return math.exp(-0.5 * (s * s + t * t))
     if regime.kind == "supercritical":
-        return math.exp(-0.5 * (s + t) ** 2)
+        try:
+            return math.exp(-0.5 * (s + t) ** 2)
+        except OverflowError:  # (s + t)^2 above the largest double
+            return 0.0
     return phi_critical(regime.alpha, s, t, tol=tol)
 
 

@@ -115,7 +115,7 @@ def integrate_01(
     With ``singular_sqrt_at_zero`` the integral is rewritten through x = y^2
     first, which turns a 1/sqrt(x) endpoint singularity (or a sqrt(x) cusp)
     into a smooth integrand.  Deterministic; raises QuadratureError with the
-    achieved error estimate if the tolerance cannot be met.
+    achieved error estimate if that estimate is not within tol (NaN included).
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
@@ -125,7 +125,7 @@ def integrate_01(
         g = f
     result = integrate.quad(g, 0.0, 1.0, epsabs=0.25 * tol, epsrel=0.0, limit=200, full_output=1)
     value, estimate = result[0], result[1]
-    if estimate > tol:
+    if not estimate <= tol:  # a NaN estimate fails too
         raise QuadratureError(
             f"quadrature reached error estimate {estimate:.3e} > tol {tol:.3e}",
             estimate=estimate,

@@ -220,14 +220,18 @@ def test_char_fn_exact_array_equals_scalar_calls():
     # repeated points and (s, t) / (t, s) pairs share one s + t row
     s = np.array([0.3, -1.1, 0.0, 2.0, 0.3, -0.3, 0.25])
     t = np.array([-0.3, 0.4, 0.0, -2.5, -0.3, 0.3, 0.0])
+    # one coupling per point: the repeated point and the pair differ in it
+    K, P = CouplingVariant.KERNEL, CouplingVariant.PAPER
+    mixed = [P, K, K, P, K, P, K]
     for n in (0, 1, 40):
-        for variant in CouplingVariant:
+        for variant in (K, P, mixed):
             got = char_fn_exact(p, s, t, n, variant)
             assert got.dtype == np.complex128 and got.shape == s.shape
-            for a, b, value in zip(s.tolist(), t.tolist(), got):
-                want = char_fn_exact(p, a, b, n, variant)
+            per_point = variant if isinstance(variant, list) else [variant] * s.size
+            for a, b, v, value in zip(s.tolist(), t.tolist(), per_point, got):
+                want = char_fn_exact(p, a, b, n, v)
                 assert type(want) is complex
-                assert value == want, (n, variant, a, b)
+                assert value == want, (n, v, a, b)
     assert char_fn_exact(p, [0.2, -1.0], (0.5, 0.1), 9).shape == (2,)
     assert char_fn_exact(p, [], [], 5).shape == (0,)
 
@@ -246,6 +250,9 @@ def test_char_fn_exact_rejects_mismatched_angles():
     for s, t in (([0.1, 0.2], [0.3]), (0.1, [0.3]), ([[0.1]], [[0.2]])):
         with pytest.raises(ValueError):
             char_fn_exact(p, s, t, 4)
+    for variant in ([CouplingVariant.KERNEL], [CouplingVariant.PAPER] * 3, []):
+        with pytest.raises(ValueError):  # one coupling per point, or one for all
+            char_fn_exact(p, [0.1, 0.2], [0.3, 0.4], 4, variant)
 
 
 def test_oracle_equivalence_grid():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,10 +152,41 @@ def test_run_sweep_runs_one_h_column_per_distinct_cosine(monkeypatch):
         return real(u, ct, j, col)
 
     monkeypatch.setattr(exact, "_h_steps", spying)
-    exact._h0_prefix.cache_clear()
     config = SweepConfig(regime=RegimeSpec.critical(2.0), n_list=(256, 1024, 4096))
     assert not any(row.error for row in run_sweep(config))
     assert sizes == [8, 8, 8]
+
+
+def test_variant_measurements_run_one_recursion_per_n(monkeypatch):
+    # both couplings share one char_fn_exact call, so one h recursion
+    lengths = []
+    real = exact._h_steps
+
+    def spying(u, ct, j, col):
+        lengths.append(col.shape[0])
+        return real(u, ct, j, col)
+
+    monkeypatch.setattr(exact, "_h_steps", spying)
+    harness.variant_sup_gaps((-2.0, 0.5, 1.0), (64, 256))
+    harness.variant_values(1.0, 0.4, -1.1, 9)
+    assert lengths == [64, 256, 9]
+
+
+def test_run_sweep_holds_no_h_arrays_after_return():
+    # an alpha scan at n = 2048: each call's h rows (15 x 2048 doubles,
+    # 240 KiB) are freed when it returns, none kept for a later call
+    def sweep(alpha):
+        run_sweep(SweepConfig(regime=RegimeSpec.critical(alpha), n_list=(2048,)))
+
+    sweep(1.0)  # first-call allocations are not counted
+    tracemalloc.start()
+    try:
+        for alpha in (1.1, 1.3, 1.7, 2.3):
+            sweep(alpha)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 15 * 2048 * 8 // 4
 
 
 def test_run_sweep_computes_each_limit_once(monkeypatch):
@@ -420,6 +452,11 @@ def test_cli_config_unknown_key_exits_2(tmp_path, capsys):
     ["limit-cf", "--regime", "sub", "--s", "1", "--t", "1", "--tol", "inf"],
     ["limit-cf", "--regime", "super", "--tol", "1e-10"],
     ["sweep", "--regime", "sub", "--n", "64", "--grid", "1", "--tol", "1e-8"],
+    # alpha^2 below the smallest normal double; exp((s^2 + t^2) x / 2) overflowing
+    ["limit-cf", "--regime", "critical", "--alpha", "1e-300", "--s", "1", "--t", "1"],
+    ["limit-cf", "--regime", "critical", "--alpha", "1e-160", "--s", "1", "--t", "1"],
+    ["limit-cf", "--regime", "critical", "--alpha", "1", "--s", "40", "--t", "40"],
+    ["limit-cf", "--regime", "critical", "--alpha", "1", "--s", "1e300", "--t", "1e300"],
 ])
 def test_cli_missing_or_unparsable_flag_exits_2(argv):
     _assert_usage_error(argv)

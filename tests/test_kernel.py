@@ -39,6 +39,7 @@ def test_stickiness_u_examples():
     assert stickiness_u(0.0) == 1.0
     assert stickiness_u(2.0) == 1.5
     assert abs(stickiness_u(1e12) - 2.0) <= 1e-11 * 2.0
+    assert stickiness_u(1e308) == 2.0  # 2 * delta overflows
 
 
 @pytest.mark.parametrize("bad", [-1.0, -1e-9, math.inf, -math.inf, math.nan])
@@ -256,6 +257,7 @@ def test_endpoint_bytes_pinned():
     (0.0, "5e86f179be63f1fb62b050019852172dae277933adb63d1320c9284a01850da0"),
     (2.0, "d591c2734baee1a59f63cf3c5068453c373a9a101cc647c15163ca3e55dac815"),
     (1e300, "a570394de947f12b9d899141001ea441ab9df2319c995bafb0b2af53a83f4051"),  # u = 2
+    (1e308, "a570394de947f12b9d899141001ea441ab9df2319c995bafb0b2af53a83f4051"),
 ])
 def test_endpoint_bytes_pinned_across_chunks(delta, want):
     # 9000 paths at n = 256 span three chunks (4096, 4096, 808)

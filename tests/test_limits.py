@@ -171,6 +171,10 @@ def test_regime_spec_validation():
             RegimeSpec.subcritical(coeff=bad)
         with pytest.raises(ValueError):
             RegimeSpec.supercritical(coeff=bad)
+    for tiny in (2.0 ** -512, 1e-160, 1e-300):  # alpha^2 below the smallest normal double
+        with pytest.raises(ValueError):
+            RegimeSpec.critical(tiny)
+    assert RegimeSpec.critical(2.0 ** -511).alpha == 2.0 ** -511
     assert RegimeSpec.subcritical().delta_at(16) == 2.0
     assert RegimeSpec.critical(2.0).delta_at(16) == 8.0
     assert RegimeSpec.supercritical().delta_at(16) == 16.0
@@ -180,7 +184,7 @@ def test_phi_vanishing_product_shortcut():
     for s in (0.0, 0.5, 2.0):
         assert phi_critical(1.0, s, 0.0) == pytest.approx(math.exp(-0.5 * s * s), abs=1e-15)
         assert phi_critical(1.0, 0.0, s) == pytest.approx(math.exp(-0.5 * s * s), abs=1e-15)
-    for alpha in (math.inf, -1.0):
+    for alpha in (math.inf, -1.0, 1e-160, 1e-300):
         with pytest.raises(ValueError):
             phi_critical(alpha, 1.0, 0.0)
 
@@ -210,6 +214,7 @@ def test_limit_cf_values():
     assert limit_cf(RegimeSpec.subcritical(), 0.0, 0.0) == 1.0
     assert limit_cf(RegimeSpec.supercritical(), 1.0, -1.0) == 1.0
     assert limit_cf(RegimeSpec.subcritical(), 1.0, 1.0) == pytest.approx(math.exp(-1.0))
+    assert limit_cf(RegimeSpec.supercritical(), 1e154, 1e154) == 0.0  # (s + t)^2 overflows
 
 
 @pytest.mark.parametrize("regime", [
@@ -219,6 +224,10 @@ def test_limit_cf_rejects_non_finite_angles(regime):
     for s, t in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)):
         with pytest.raises(ValueError):
             limit_cf(regime, s, t)
+    if regime.kind == "critical":  # exp((s^2 + t^2) x / 2) overflows a double
+        for s, t in ((40.0, 40.0), (1e300, 1e300), (1e154, -1e154)):
+            with pytest.raises(ValueError):
+                limit_cf(regime, s, t)
 
 
 def test_limit_cf_interpolates_to_subcritical():

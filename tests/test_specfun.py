@@ -125,6 +125,9 @@ def test_integrate_failure_reports_estimate():
     with pytest.raises(QuadratureError) as info:
         integrate_01(lambda x: math.cos(40.0 * x), tol=1e-300)
     assert info.value.estimate is not None and info.value.estimate > 0.0
+    with pytest.raises(QuadratureError) as info:  # a NaN estimate is not within tol
+        integrate_01(lambda x: math.nan if x > 0.5 else 1.0)
+    assert math.isnan(info.value.estimate)
 
 
 def test_integrate_bad_tol():
