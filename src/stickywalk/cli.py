@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import CapacityError
+from .errors import CapacityError, QuadratureError
 from .exact import CouplingVariant, char_fn_exact
 from .harness import (
     DEFAULT_GRID_AXIS,
@@ -28,10 +28,9 @@ from .harness import (
     write_report,
 )
 from .kernel import StickinessParam, simulate_endpoints
-from .limits import RegimeSpec, limit_cf
+from .limits import DEFAULT_QUAD_TOL, RegimeSpec, limit_cf
 
 _REGIMES = {"sub": "subcritical", "critical": "critical", "super": "supercritical"}
-_QUAD_TOL = 1e-10  # the critical limit's default quadrature tolerance
 _COUPLINGS = {"kernel": CouplingVariant.KERNEL, "paper": CouplingVariant.PAPER}
 # flags a command cannot run without; a config file may supply them
 _REQUIRED = {"sweep": ("regime",), "limit-cf": ("regime",), "covariance": ("alpha",),
@@ -81,12 +80,8 @@ def _config_defaults(path: str, sub: argparse.ArgumentParser) -> dict:
 
 
 def _regime_from(args) -> RegimeSpec:
-    kind = _REGIMES[args.regime]
-    if kind == "critical":
-        return RegimeSpec.critical(args.alpha)
-    if kind == "subcritical":
-        return RegimeSpec.subcritical()
-    return RegimeSpec.supercritical()
+    # RegimeSpec refuses a missing critical alpha and an alpha or tol off it
+    return RegimeSpec(_REGIMES[args.regime], alpha=args.alpha, quad_tol=args.tol)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -112,7 +107,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.add_argument("--regime", choices=sorted(_REGIMES))
         p.add_argument("--alpha", type=float, help="critical-regime scale delta_n / sqrt(n)")
         p.add_argument("--tol", type=float,
-                       help=f"critical-regime quadrature tolerance (default {_QUAD_TOL:g})")
+                       help=f"critical-regime quadrature tolerance (default {DEFAULT_QUAD_TOL:g})")
 
     def sampler(p, paths_min: int, paths_default: int):
         p.add_argument("--paths", type=_int(paths_min), default=paths_default)
@@ -195,7 +190,6 @@ def _cmd_sweep(args) -> int:
         paths=args.paths,
         seed=args.seed,
         coupling=_COUPLINGS[args.coupling],
-        quad_tol=args.tol,
     )
     return _emit(run_sweep(config), args)
 
@@ -213,7 +207,7 @@ def _cmd_exact_cf(args) -> int:
 
 
 def _cmd_limit_cf(args) -> int:
-    print(f"{limit_cf(_regime_from(args), args.s, args.t, tol=args.tol):.17g}")
+    print(f"{limit_cf(_regime_from(args), args.s, args.t):.17g}")
     return 0
 
 
@@ -253,16 +247,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     missing = [f"--{flag}" for flag in _REQUIRED.get(args.command, ())
                if getattr(args, flag) is None]
-    if getattr(args, "regime", None) == "critical" and args.alpha is None:
-        missing.append("--alpha (the critical regime needs it)")
     if missing:
         sub.error("missing " + ", ".join(missing))
-    regime = getattr(args, "regime", None)
-    for flag in ("alpha", "tol"):
-        if regime not in (None, "critical") and getattr(args, flag) is not None:
-            sub.error(f"--{flag} applies only to --regime critical")
-    if regime is not None and args.tol is None:
-        args.tol = _QUAD_TOL
     out = getattr(args, "out", None)
     if out is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):
         # refused before the work, not when the result is written
@@ -271,6 +257,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, CapacityError) as exc:  # out of range, or over the work budget
         sub.error(str(exc))
+    except QuadratureError as exc:  # a numeric failure: one line, no traceback
+        print(f"{sub.prog}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

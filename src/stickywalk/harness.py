@@ -103,7 +103,8 @@ def _check_mc_paths(paths: int) -> None:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One convergence sweep: a regime, step counts, and an (s, t) grid."""
+    """One convergence sweep: a regime (which holds its limit's settings), step
+    counts, and an (s, t) grid."""
 
     regime: RegimeSpec
     n_list: tuple[int, ...]
@@ -111,7 +112,6 @@ class SweepConfig:
     paths: int = 0
     seed: int = 0
     coupling: CouplingVariant = CouplingVariant.KERNEL
-    quad_tol: float = 1e-10
 
     def __post_init__(self):
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
@@ -125,8 +125,6 @@ class SweepConfig:
         if not all(math.isfinite(v) for point in self.grid for v in point):
             raise ValueError("grid angles must be finite")
         _check_mc_paths(self.paths)
-        if not (math.isfinite(self.quad_tol) and self.quad_tol > 0.0):
-            raise ValueError(f"quad_tol must be finite and positive, got {self.quad_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -169,7 +167,7 @@ def _error_text(exc: Exception) -> str:
 def _limit_cell(config: SweepConfig, s: float, t: float):
     """f_limit at one grid point, or the exception that stopped it."""
     try:
-        return limit_cf(config.regime, s, t, tol=config.quad_tol)
+        return limit_cf(config.regime, s, t)
     except Exception as exc:
         return exc
 
@@ -417,8 +415,12 @@ def covariance_gaps(n: int, alphas, fd_alphas, limit_tol: float) -> dict:
     return {"gap": _worst(gaps), "fd": _worst(fd_gaps)}
 
 
-def mc_agreement(delta: float, n: int, paths: int, seed: int, axis=(),
-                 k_sigma: float = 4.0) -> dict:
+def _off_parity(sample, n: int) -> int:
+    """Endpoints with a coordinate whose parity differs from n's."""
+    return int(np.sum(((sample.x - n) % 2 != 0) | ((sample.y - n) % 2 != 0)))
+
+
+def mc_agreement(delta: float, n: int, paths: int, seed: int, axis, k_sigma: float) -> dict:
     """Monte Carlo vs exact f on the axis x axis grid, angles scaled by 1/sqrt(n).
 
     "within" counts grid points with |f_mc - f_exact| <= k_sigma * stderr (a
@@ -434,8 +436,7 @@ def mc_agreement(delta: float, n: int, paths: int, seed: int, axis=(),
     for s, t, f_exact in zip(s_grid.tolist(), t_grid.tolist(), exact.tolist()):
         mean, stderr = _mean_stderr(np.cos((s * sample.x + t * sample.y) / rn))
         within += abs(mean - f_exact) <= k_sigma * stderr
-    off_parity = int(np.sum(((sample.x - n) % 2 != 0) | ((sample.y - n) % 2 != 0)))
-    return {"within": within, "points": len(axis) ** 2, "off_parity": off_parity}
+    return {"within": within, "points": len(axis) ** 2, "off_parity": _off_parity(sample, n)}
 
 
 def worst_relative_error(fn, table) -> float:
@@ -451,7 +452,7 @@ def ell_origin_gap(alphas, ws) -> float:
 
 # self-test-only measurements: invariants with no acceptance criterion
 
-def _kernel_unit(row_deltas, **sampler) -> dict:
+def _kernel_unit(row_deltas, delta: float, n: int, paths: int, seed: int) -> dict:
     rows = [(p.u / 4, p.u / 4, p.two_minus_u / 4, p.two_minus_u / 4)
             for p in map(StickinessParam, row_deltas)]
     return {
@@ -459,7 +460,7 @@ def _kernel_unit(row_deltas, **sampler) -> dict:
         "u_limit": abs(stickiness_u(1e12) - 2.0),
         "probs_in_range": all(0.0 <= q <= 0.5 for row in rows for q in row),
         "row_sum": _worst(abs(sum(row) - 1.0) for row in rows),
-        **mc_agreement(**sampler),
+        "off_parity": _off_parity(simulate_endpoints(StickinessParam(delta), n, paths, seed), n),
     }
 
 

@@ -26,6 +26,7 @@ from .specfun import erfcx_complex, erfcx_real, integrate_01
 __all__ = [
     "LimitParams",
     "RegimeSpec",
+    "DEFAULT_QUAD_TOL",
     "limit_params",
     "ell",
     "laplace_target",
@@ -48,6 +49,10 @@ _TRUNC_LOG = 12.0 * math.log(10.0)
 _ALPHA_MIN = 2.0 ** -511
 
 REGIME_KINDS = ("subcritical", "critical", "supercritical")
+# delta_n = coeff * n**exponent off the critical scale, below / above sqrt(n)
+_EXPONENTS = {"subcritical": 0.25, "supercritical": 1.0}
+# the critical limit's quadrature tolerance unless its RegimeSpec sets one
+DEFAULT_QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -118,52 +123,53 @@ def ell(params: LimitParams, x: float) -> float:
 
 @dataclass(frozen=True)
 class RegimeSpec:
-    """Which delta_n scaling is under test.
+    """Which delta_n scaling is under test, with the settings that scaling uses.
 
-    critical uses delta_n = alpha sqrt(n); the other two use
-    delta_n = coeff * n**exponent with exponent below / above 1/2.
+    critical uses delta_n = alpha sqrt(n) and evaluates its limit by
+    quadrature to quad_tol (default DEFAULT_QUAD_TOL); subcritical and
+    supercritical use delta_n = coeff * n**0.25 and coeff * n, have closed-form
+    limits, and refuse alpha and quad_tol rather than ignore them.
     """
 
     kind: str
     alpha: float | None = None
     coeff: float = 1.0
-    exponent: float | None = None
+    quad_tol: float | None = None
 
     def __post_init__(self):
         if self.kind not in REGIME_KINDS:
             raise ValueError(f"kind must be one of {REGIME_KINDS}, got {self.kind!r}")
-        if self.kind == "critical":
-            if self.alpha is None or not (math.isfinite(self.alpha) and self.alpha >= _ALPHA_MIN):
-                raise ValueError(f"critical needs a finite alpha >= 2**-511, got {self.alpha!r}")
+        if self.kind != "critical":
+            for name in ("alpha", "quad_tol"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{name} applies only to the critical regime, not {self.kind}")
+            if not (math.isfinite(self.coeff) and self.coeff > 0):
+                raise ValueError(f"coeff must be finite and > 0, got {self.coeff!r}")
             return
-        exponent = self.exponent
-        if exponent is None:
-            exponent = 0.25 if self.kind == "subcritical" else 1.0
-            object.__setattr__(self, "exponent", exponent)
-        if not (math.isfinite(self.coeff) and self.coeff > 0):
-            raise ValueError(f"coeff must be finite and > 0, got {self.coeff!r}")
-        if self.kind == "subcritical" and not (0.0 < exponent < 0.5):
-            raise ValueError("subcritical needs exponent in (0, 1/2) so delta_n -> inf below sqrt(n)")
-        if self.kind == "supercritical" and not (exponent > 0.5):
-            raise ValueError("supercritical needs exponent > 1/2")
+        if self.alpha is None or not (math.isfinite(self.alpha) and self.alpha >= _ALPHA_MIN):
+            raise ValueError(f"critical needs a finite alpha >= 2**-511, got {self.alpha!r}")
+        if self.quad_tol is None:
+            object.__setattr__(self, "quad_tol", DEFAULT_QUAD_TOL)
+        elif not (math.isfinite(self.quad_tol) and self.quad_tol > 0.0):
+            raise ValueError(f"quad_tol must be finite and > 0, got {self.quad_tol!r}")
 
     @classmethod
-    def subcritical(cls, coeff: float = 1.0, exponent: float = 0.25) -> "RegimeSpec":
-        return cls(kind="subcritical", coeff=coeff, exponent=exponent)
+    def subcritical(cls, coeff: float = 1.0) -> "RegimeSpec":
+        return cls(kind="subcritical", coeff=coeff)
 
     @classmethod
-    def critical(cls, alpha: float) -> "RegimeSpec":
-        return cls(kind="critical", alpha=alpha)
+    def critical(cls, alpha: float, quad_tol: float | None = None) -> "RegimeSpec":
+        return cls(kind="critical", alpha=alpha, quad_tol=quad_tol)
 
     @classmethod
-    def supercritical(cls, coeff: float = 1.0, exponent: float = 1.0) -> "RegimeSpec":
-        return cls(kind="supercritical", coeff=coeff, exponent=exponent)
+    def supercritical(cls, coeff: float = 1.0) -> "RegimeSpec":
+        return cls(kind="supercritical", coeff=coeff)
 
     def delta_at(self, n: int) -> float:
         """delta_n under this regime's rule (kept real, never rounded to integer)."""
         if self.kind == "critical":
             return self.alpha * math.sqrt(n)
-        return self.coeff * float(n) ** self.exponent
+        return self.coeff * float(n) ** _EXPONENTS[self.kind]
 
 
 def laplace_target(regime: RegimeSpec, w: float, lam: float) -> float:
@@ -198,7 +204,7 @@ def laplace_empirical(delta: float, n: int, w: float, lam: float) -> float:
     return 1.0 / (n * gf_h0_reciprocal(p, t, z, one_minus_z=one_minus_z))
 
 
-def phi_critical(alpha: float, s: float, t: float, tol: float = 1e-10) -> float:
+def phi_critical(alpha: float, s: float, t: float, tol: float = DEFAULT_QUAD_TOL) -> float:
     """Critical limiting Fourier transform:
 
     exp(-(s^2+t^2)/2) [ 1 - t s  integral_0^1 exp((s^2+t^2) x / 2) ell_{alpha,s+t}(x) dx ].
@@ -219,9 +225,11 @@ def phi_critical(alpha: float, s: float, t: float, tol: float = 1e-10) -> float:
     return gauss * (1.0 - t * s * weighted)
 
 
-def limit_cf(regime: RegimeSpec, s: float, t: float, tol: float = 1e-10) -> float:
+def limit_cf(regime: RegimeSpec, s: float, t: float) -> float:
     """Limiting characteristic function of the rescaled endpoint under the regime.
 
+    The critical limit is a quadrature to regime.quad_tol (QuadratureError
+    where it misses that tolerance); the other two are closed forms.
     Non-finite angles raise ValueError in every regime.
     """
     if not (math.isfinite(s) and math.isfinite(t)):
@@ -233,7 +241,7 @@ def limit_cf(regime: RegimeSpec, s: float, t: float, tol: float = 1e-10) -> floa
             return math.exp(-0.5 * (s + t) ** 2)
         except OverflowError:  # (s + t)^2 above the largest double
             return 0.0
-    return phi_critical(regime.alpha, s, t, tol=tol)
+    return phi_critical(regime.alpha, s, t, tol=regime.quad_tol)
 
 
 def covariance_limit(alpha: float, tol: float = 1e-8) -> float:

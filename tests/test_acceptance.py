@@ -97,8 +97,7 @@ def test_criterion_04_ell_transform_consistency():
 
 def _sup_errors(regime, n_list):
     """Per n, sup over GRID of |f_exact - f_limit|, read from run_sweep's rows."""
-    rows = run_sweep(SweepConfig(regime=regime, n_list=n_list, grid=GRID,
-                                 quad_tol=1e-10))
+    rows = run_sweep(SweepConfig(regime=regime, n_list=n_list, grid=GRID))
     assert not [row.error for row in rows if row.error]
     # np.max, not max: a NaN error must fail the criterion, not drop out
     return [float(np.max([row.err_exact_limit for row in rows if row.n == n])) for n in n_list]
@@ -109,7 +108,7 @@ def test_criterion_05_critical_convergence():
     ok = True
     details = []
     for alpha in (0.5, 2.0):
-        sups = _sup_errors(RegimeSpec.critical(alpha), (256, 1024, 4096))
+        sups = _sup_errors(RegimeSpec.critical(alpha, quad_tol=1e-10), (256, 1024, 4096))
         mono = all(b <= a for a, b in zip(sups, sups[1:]))
         ok = ok and mono and sups[-1] <= 5e-2
         details.append(f"alpha={alpha}: " + " -> ".join(f"{v:.2e}" for v in sups))

@@ -41,9 +41,6 @@ def test_sweep_config_validation():
     for grid in (((math.nan, 1.0),), ((1.0, 1.0), (0.5, math.inf)), ((-math.inf, 0.0),)):
         with pytest.raises(ValueError):
             SweepConfig(regime=regime, n_list=(64,), grid=grid)
-    for quad_tol in (0.0, -1e-10, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            SweepConfig(regime=regime, n_list=(64,), grid=((1.0, 1.0),), quad_tol=quad_tol)
 
 
 def test_sweep_config_rejects_tolerances_dict():
@@ -104,13 +101,22 @@ def test_run_sweep_supercritical_degenerate_direction():
     assert row.f_mc is None and row.mc_stderr is None
 
 
+def test_run_sweep_reads_quad_tol_from_regime():
+    # a tolerance no quadrature meets reaches phi_critical through the regime
+    config = SweepConfig(regime=RegimeSpec.critical(1.0, quad_tol=1e-300), n_list=(16,),
+                         grid=((1.0, 1.0), (0.5, 0.0)))
+    rows = run_sweep(config)
+    assert rows[0].error.startswith("QuadratureError: ")
+    assert rows[1].error == ""  # t = 0: the limit is exp(-s^2 / 2), no quadrature
+
+
 def test_run_sweep_isolates_row_failures(monkeypatch):
     real = harness.limit_cf
 
-    def poisoned(regime, s, t, tol=1e-10):
+    def poisoned(regime, s, t):
         if s == 0.5:
             raise RuntimeError("poisoned grid point")
-        return real(regime, s, t, tol=tol)
+        return real(regime, s, t)
 
     monkeypatch.setattr(harness, "limit_cf", poisoned)
     rows = run_sweep(_small_config())
@@ -193,9 +199,9 @@ def test_run_sweep_computes_each_limit_once(monkeypatch):
     calls = []
     real = harness.limit_cf
 
-    def counting(regime, s, t, tol=1e-10):
+    def counting(regime, s, t):
         calls.append((s, t))
-        return real(regime, s, t, tol=tol)
+        return real(regime, s, t)
 
     monkeypatch.setattr(harness, "limit_cf", counting)
     config = SweepConfig(regime=RegimeSpec.critical(2.0), n_list=(16, 32, 64),
@@ -412,9 +418,9 @@ def test_cli_config_unknown_key_exits_2(tmp_path, capsys):
         ("format=json\n", "exact-cf", "format"),  # exact-cf has no --format
         ("regime=nonsense\n", "limit-cf", "nonsense"),  # values are checked like flags
         ("workers=2\n", "mc", "workers"),  # the sampler has no worker count
-        ("regime=sub\nalpha=3\n", "limit-cf", "--alpha applies only"),  # known, but sub ignores it
-        ("regime=sub\ntol=1e-8\n", "limit-cf", "--tol applies only"),
-        ("regime=super\nn=64\ntol=1e-8\n", "sweep", "--tol applies only"),
+        ("regime=sub\nalpha=3\n", "limit-cf", "alpha applies only"),  # known, but sub ignores it
+        ("regime=sub\ntol=1e-8\n", "limit-cf", "tol applies only"),
+        ("regime=super\nn=64\ntol=1e-8\n", "sweep", "tol applies only"),
     ):
         cfg.write_text(text)
         _assert_usage_error([command, "--config", str(cfg)])
@@ -484,6 +490,16 @@ def test_cli_over_budget_exits_2(argv, tmp_path, monkeypatch, capsys):
     _assert_usage_error(argv)
     assert "budget" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_cli_quadrature_failure_exits_1(capsys):
+    # a numeric failure, not a usage error: one line on stderr, no traceback
+    assert main(["limit-cf", "--regime", "critical", "--alpha", "1", "--s", "1", "--t", "1",
+                 "--tol", "1e-300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("stickywalk limit-cf: error: quadrature reached")
 
 
 def test_cli_flags_only_where_used():

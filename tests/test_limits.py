@@ -159,11 +159,18 @@ def test_regime_spec_validation():
     with pytest.raises(ValueError):
         RegimeSpec(kind="critical")
     with pytest.raises(ValueError):
-        RegimeSpec(kind="subcritical", exponent=0.5)
-    with pytest.raises(ValueError):
-        RegimeSpec(kind="supercritical", exponent=0.5)
-    with pytest.raises(ValueError):
         RegimeSpec(kind="weird")
+    # the closed-form regimes refuse the critical settings rather than ignore them
+    for kind in ("subcritical", "supercritical"):
+        with pytest.raises(ValueError, match="alpha applies only"):
+            RegimeSpec(kind=kind, alpha=3.0)
+        with pytest.raises(ValueError, match="quad_tol applies only"):
+            RegimeSpec(kind=kind, quad_tol=1e-8)
+    for quad_tol in (0.0, -1e-10, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            RegimeSpec.critical(1.0, quad_tol=quad_tol)
+    assert RegimeSpec.critical(1.0).quad_tol == 1e-10
+    assert RegimeSpec.critical(1.0, quad_tol=1e-8).quad_tol == 1e-8
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
             RegimeSpec.critical(bad)
@@ -232,11 +239,11 @@ def test_limit_cf_rejects_non_finite_angles(regime):
 
 def test_limit_cf_interpolates_to_subcritical():
     axis = (-2.0, -1.0, 1.0, 2.0)
-    regime = RegimeSpec.critical(0.05)
+    regime = RegimeSpec.critical(0.05, quad_tol=1e-9)
     sup = 0.0
     for s in axis:
         for t in axis:
-            gap = abs(limit_cf(regime, s, t, tol=1e-9) - math.exp(-0.5 * (s * s + t * t)))
+            gap = abs(limit_cf(regime, s, t) - math.exp(-0.5 * (s * s + t * t)))
             sup = max(sup, gap)
     assert sup <= INTERPOLATION_TOL
 
