@@ -23,12 +23,17 @@ reader can see how far the repeats of one run spread:
   pattern, one h recursion per call;
 - ``endpoint_distribution``: the enumeration oracle at n = 12, its cache
   cleared;
-- ``limit_cf grid``: the 36 ``phi_critical`` quadratures of one default-grid
-  sweep at alpha = 2.
+- ``limit_cf grid``: the 36 critical limits of one default-grid sweep at
+  alpha = 2, each inverted on the 33-node contour;
+- ``phi_critical grid``: the same 36 points by the quadrature route, at its
+  default tolerance, after one untimed call has loaded scipy;
+- ``import stickywalk.cli``: a fresh interpreter that imports the CLI and
+  exits, the set-up every command pays (scipy is not loaded).
 
 Each group of rows (the sampler; h and ``char_fn_exact``; the enumeration;
-the quadrature) runs in its own freshly spawned process, one group at a
-time, so the heap one group leaves behind cannot slow or speed the next.
+the critical limit; the import) runs in its own freshly spawned process,
+one group at a time, so the heap one group leaves behind cannot slow or
+speed the next.
 
 To compare two checkouts, run each one's own copy and pass the first one's
 output to the second with ``--before``: it is embedded, with the before/after
@@ -46,6 +51,7 @@ import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -135,16 +141,28 @@ def enumeration_rows(repeats: int) -> dict[str, list[float]]:
     return {"endpoint_distribution n=12": times_s(enumeration, repeats)}
 
 
-def quadrature_rows(repeats: int) -> dict[str, list[float]]:
+def limit_rows(repeats: int) -> dict[str, list[float]]:
     from stickywalk.harness import default_grid
-    from stickywalk.limits import RegimeSpec, limit_cf
+    from stickywalk.limits import RegimeSpec, limit_cf, phi_critical
 
     critical, grid = RegimeSpec.critical(2.0), default_grid()
-    return {"limit_cf grid alpha=2": times_s(
-        lambda: [limit_cf(critical, s, t) for s, t in grid], repeats)}
+    phi_critical(2.0, 1.0, 1.0)  # scipy loads on the first quadrature, outside the timing
+    return {
+        "limit_cf grid alpha=2": times_s(
+            lambda: [limit_cf(critical, s, t) for s, t in grid], repeats),
+        "phi_critical grid alpha=2": times_s(
+            lambda: [phi_critical(2.0, s, t) for s, t in grid], repeats),
+    }
 
 
-GROUPS = (sampler_rows, h_rows, enumeration_rows, quadrature_rows)
+def import_rows(repeats: int) -> dict[str, list[float]]:
+    argv = [sys.executable, "-c", "import stickywalk.cli"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return {"import stickywalk.cli (fresh interpreter)": times_s(
+        lambda: subprocess.run(argv, env=env, check=True), repeats)}
+
+
+GROUPS = (sampler_rows, h_rows, enumeration_rows, limit_rows, import_rows)
 
 
 def measure(repeats: int) -> dict:

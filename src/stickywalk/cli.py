@@ -28,7 +28,7 @@ from .harness import (
     write_report,
 )
 from .kernel import StickinessParam, simulate_endpoints
-from .limits import DEFAULT_QUAD_TOL, RegimeSpec, limit_cf
+from .limits import RegimeSpec, limit_cf
 
 _REGIMES = {"sub": "subcritical", "critical": "critical", "super": "supercritical"}
 _COUPLINGS = {"kernel": CouplingVariant.KERNEL, "paper": CouplingVariant.PAPER}
@@ -80,8 +80,8 @@ def _config_defaults(path: str, sub: argparse.ArgumentParser) -> dict:
 
 
 def _regime_from(args) -> RegimeSpec:
-    # RegimeSpec refuses a missing critical alpha and an alpha or tol off it
-    return RegimeSpec(_REGIMES[args.regime], alpha=args.alpha, quad_tol=args.tol)
+    # RegimeSpec refuses a missing critical alpha and an alpha off it
+    return RegimeSpec(_REGIMES[args.regime], alpha=args.alpha)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -106,8 +106,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     def regime(p):
         p.add_argument("--regime", choices=sorted(_REGIMES))
         p.add_argument("--alpha", type=float, help="critical-regime scale delta_n / sqrt(n)")
-        p.add_argument("--tol", type=float,
-                       help=f"critical-regime quadrature tolerance (default {DEFAULT_QUAD_TOL:g})")
 
     def sampler(p, paths_min: int, paths_default: int):
         p.add_argument("--paths", type=_int(paths_min), default=paths_default)

@@ -119,7 +119,7 @@ def diag_fourier_sequence(u: float, t, n: int, j: int = 0) -> np.ndarray:
         raise ValueError("j must be >= 0")
     if n > _H_MAX_N:
         raise CapacityError(
-            f"the O(n^2) h recursion to n = {n} exceeds its budget (n <= {_H_MAX_N})"
+            f"the O(n^1.5) h recursion to n = {n} exceeds its budget (n <= {_H_MAX_N})"
         )
     t_arr = np.asarray(t, dtype=np.float64)
     if t_arr.ndim > 1:

@@ -67,6 +67,7 @@ __all__ = [
     "ell_transform_gaps",
     "laplace_limit_errors",
     "covariance_gaps",
+    "critical_route_gap",
     "mc_agreement",
     "worst_relative_error",
     "ell_origin_gap",
@@ -103,8 +104,7 @@ def _check_mc_paths(paths: int) -> None:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One convergence sweep: a regime (which holds its limit's settings), step
-    counts, and an (s, t) grid."""
+    """One convergence sweep: a regime, step counts, and an (s, t) grid."""
 
     regime: RegimeSpec
     n_list: tuple[int, ...]
@@ -415,6 +415,14 @@ def covariance_gaps(n: int, alphas, fd_alphas, limit_tol: float) -> dict:
     return {"gap": _worst(gaps), "fd": _worst(fd_gaps)}
 
 
+def critical_route_gap(alphas, axis, tol: float) -> float:
+    """Worst |limit_cf (contour) - phi_critical (quadrature to tol)| over the
+    axis x axis grid at each critical alpha."""
+    s_grid, t_grid = _grid_axes(axis)
+    return _worst(abs(limit_cf(RegimeSpec.critical(alpha), s, t) - phi_critical(alpha, s, t, tol=tol))
+                  for alpha in alphas for s, t in zip(s_grid.tolist(), t_grid.tolist()))
+
+
 def _off_parity(sample, n: int) -> int:
     """Endpoints with a coordinate whose parity differs from n's."""
     return int(np.sum(((sample.x - n) % 2 != 0) | ((sample.y - n) % 2 != 0)))
@@ -606,6 +614,9 @@ _SELFTEST_CHECKS: tuple[tuple[str, Callable, dict, Callable], ...] = (
                 "ell transform == critical target; density identities; closed-form limits")),
     ("quadrature_order", _quadrature_order, dict(tols=(1e-4, 5e-5, 2.5e-5, 1.25e-5)),
      lambda m: (m["worst_rise"] <= 1e-15, "error nonincreasing as tol halves")),
+    ("critical_routes", critical_route_gap,
+     dict(alphas=(2.0,), axis=(-2.0, 0.5, 1.0), tol=1e-12),
+     lambda m: (m <= 1e-12, f"critical limit, contour vs quadrature: worst gap {m:.1e}")),
     ("covariance_consistency", covariance_gaps,
      dict(n=2000, alphas=(1.0, 2.0), fd_alphas=(1.0,), limit_tol=1e-12),
      lambda m: (m["gap"] < 1e-3 and m["fd"] < 1e-4,

@@ -6,6 +6,11 @@ decouple into a product of standard normals, far above they fuse into a
 single normal, and on the critical scale delta_n ~ alpha sqrt(n) the Fourier
 transform picks up an integral of the occupation profile ell_{alpha,w}.
 
+The critical Fourier transform has two routes.  limit_cf inverts its
+closed-form Laplace transform on a fixed 33-node contour (absolute error
+about 1e-13, no quadrature and no scipy); phi_critical integrates ell by
+adaptive quadrature and is the independent check on it.
+
 ell is assembled from erfcx with parameters b1 = -2/alpha + 2*gamma and
 b2 = -2/alpha - 2*gamma, gamma = sqrt(alpha^-2 - w^2/4) (taken with positive
 imaginary part when the discriminant is negative).  Raw exp * erfc products
@@ -19,14 +24,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .exact import gf_h0_reciprocal
 from .kernel import StickinessParam
-from .specfun import erfcx_complex, erfcx_real, integrate_01
+from .specfun import erfcx_complex, erfcx_real, integrate_01, inverse_laplace_at_1
 
 __all__ = [
     "LimitParams",
     "RegimeSpec",
-    "DEFAULT_QUAD_TOL",
     "limit_params",
     "ell",
     "laplace_target",
@@ -51,8 +57,6 @@ _ALPHA_MIN = 2.0 ** -511
 REGIME_KINDS = ("subcritical", "critical", "supercritical")
 # delta_n = coeff * n**exponent off the critical scale, below / above sqrt(n)
 _EXPONENTS = {"subcritical": 0.25, "supercritical": 1.0}
-# the critical limit's quadrature tolerance unless its RegimeSpec sets one
-DEFAULT_QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -123,43 +127,38 @@ def ell(params: LimitParams, x: float) -> float:
 
 @dataclass(frozen=True)
 class RegimeSpec:
-    """Which delta_n scaling is under test, with the settings that scaling uses.
+    """Which delta_n scaling is under test, with the one setting it uses.
 
-    critical uses delta_n = alpha sqrt(n) and evaluates its limit by
-    quadrature to quad_tol (default DEFAULT_QUAD_TOL); subcritical and
-    supercritical use delta_n = coeff * n**0.25 and coeff * n, have closed-form
-    limits, and refuse alpha and quad_tol rather than ignore them.
+    critical uses delta_n = alpha sqrt(n) and refuses a coeff other than the
+    default; subcritical and supercritical use delta_n = coeff * n**0.25 and
+    coeff * n and refuse alpha, rather than ignore either.
     """
 
     kind: str
     alpha: float | None = None
     coeff: float = 1.0
-    quad_tol: float | None = None
 
     def __post_init__(self):
         if self.kind not in REGIME_KINDS:
             raise ValueError(f"kind must be one of {REGIME_KINDS}, got {self.kind!r}")
         if self.kind != "critical":
-            for name in ("alpha", "quad_tol"):
-                if getattr(self, name) is not None:
-                    raise ValueError(f"{name} applies only to the critical regime, not {self.kind}")
+            if self.alpha is not None:
+                raise ValueError(f"alpha applies only to the critical regime, not {self.kind}")
             if not (math.isfinite(self.coeff) and self.coeff > 0):
                 raise ValueError(f"coeff must be finite and > 0, got {self.coeff!r}")
             return
+        if self.coeff != 1.0:  # NaN included
+            raise ValueError(f"coeff does not apply to the critical regime, got {self.coeff!r}")
         if self.alpha is None or not (math.isfinite(self.alpha) and self.alpha >= _ALPHA_MIN):
             raise ValueError(f"critical needs a finite alpha >= 2**-511, got {self.alpha!r}")
-        if self.quad_tol is None:
-            object.__setattr__(self, "quad_tol", DEFAULT_QUAD_TOL)
-        elif not (math.isfinite(self.quad_tol) and self.quad_tol > 0.0):
-            raise ValueError(f"quad_tol must be finite and > 0, got {self.quad_tol!r}")
 
     @classmethod
     def subcritical(cls, coeff: float = 1.0) -> "RegimeSpec":
         return cls(kind="subcritical", coeff=coeff)
 
     @classmethod
-    def critical(cls, alpha: float, quad_tol: float | None = None) -> "RegimeSpec":
-        return cls(kind="critical", alpha=alpha, quad_tol=quad_tol)
+    def critical(cls, alpha: float) -> "RegimeSpec":
+        return cls(kind="critical", alpha=alpha)
 
     @classmethod
     def supercritical(cls, coeff: float = 1.0) -> "RegimeSpec":
@@ -204,33 +203,47 @@ def laplace_empirical(delta: float, n: int, w: float, lam: float) -> float:
     return 1.0 / (n * gf_h0_reciprocal(p, t, z, one_minus_z=one_minus_z))
 
 
-def phi_critical(alpha: float, s: float, t: float, tol: float = DEFAULT_QUAD_TOL) -> float:
-    """Critical limiting Fourier transform:
-
-    exp(-(s^2+t^2)/2) [ 1 - t s  integral_0^1 exp((s^2+t^2) x / 2) ell_{alpha,s+t}(x) dx ].
-
-    Raises ValueError where the quadrature's exp((s^2+t^2) x / 2) overflows.
-    """
+def _theta(s: float, t: float) -> float:
+    """(s^2 + t^2) / 2; ValueError where it overflows a double."""
     theta = 0.5 * (s * s + t * t)
-    gauss = math.exp(-theta)
+    if math.isinf(theta):
+        raise ValueError(f"(s^2 + t^2) / 2 overflows at s = {s!r}, t = {t!r}")
+    return theta
+
+
+def phi_critical(alpha: float, s: float, t: float, tol: float = 1e-10) -> float:
+    """Critical limiting Fourier transform by quadrature, the check on limit_cf:
+
+    exp(-theta) - t s integral_0^1 exp(theta (x - 1)) ell_{alpha,s+t}(x) dx,
+
+    theta = (s^2 + t^2) / 2.  The weight exp(theta (x - 1)) is at most 1, so
+    nothing overflows for finite theta; the integral runs through x = y^2,
+    which absorbs the sqrt(x) cusp of ell at 0.  Raises ValueError where
+    theta overflows and QuadratureError where tol is missed.
+    """
     params = limit_params(alpha, s + t)  # checks alpha on the shortcut too
+    theta = _theta(s, t)
     if s == 0.0 or t == 0.0:
-        return gauss
-    try:
-        if math.isinf(theta):  # then exp(theta x) is inf, not an error, for x > 0
-            raise OverflowError
-        weighted = integrate_01(lambda x: math.exp(theta * x) * ell(params, x), tol=tol)
-    except OverflowError:
-        raise ValueError(f"exp((s^2 + t^2) x / 2) overflows at s = {s!r}, t = {t!r}") from None
-    return gauss * (1.0 - t * s * weighted)
+        return math.exp(-theta)
+    weighted = integrate_01(lambda x: math.exp(theta * (x - 1.0)) * ell(params, x),
+                            singular_sqrt_at_zero=True, tol=tol)
+    return math.exp(-theta) - t * s * weighted
 
 
 def limit_cf(regime: RegimeSpec, s: float, t: float) -> float:
     """Limiting characteristic function of the rescaled endpoint under the regime.
 
-    The critical limit is a quadrature to regime.quad_tol (QuadratureError
-    where it misses that tolerance); the other two are closed forms.
-    Non-finite angles raise ValueError in every regime.
+    The subcritical and supercritical limits are closed forms.  The critical
+    one inverts, at time 1, its Laplace transform
+
+        (1 - t s G(lam)) / (lam + theta),  G(lam) = 1 / (lam + w^2/2 + sqrt(4 lam + w^2) / alpha),
+
+    with theta = (s^2 + t^2) / 2 and w = s + t, on specfun's fixed contour:
+    absolute error about 1e-13, no quadrature (phi_critical is the check).
+    G is the paper's critical Laplace target, the transform of ell; its only
+    singularity on the principal sheet is the branch cut lam <= -w^2/4, and
+    the pole is -theta.  Non-finite angles raise ValueError in every regime,
+    and so do critical angles where theta overflows.
     """
     if not (math.isfinite(s) and math.isfinite(t)):
         raise ValueError(f"angles must be finite, got s = {s!r}, t = {t!r}")
@@ -241,7 +254,18 @@ def limit_cf(regime: RegimeSpec, s: float, t: float) -> float:
             return math.exp(-0.5 * (s + t) ** 2)
         except OverflowError:  # (s + t)^2 above the largest double
             return 0.0
-    return phi_critical(regime.alpha, s, t, tol=regime.quad_tol)
+    theta, w2, ts, alpha = _theta(s, t), (s + t) * (s + t), t * s, regime.alpha
+    if ts == 0.0:  # an axis: the Gaussian marginal, exactly
+        return math.exp(-theta)
+
+    def transform(lam):
+        return (1.0 - ts / (lam + 0.5 * w2 + np.sqrt(4.0 * lam + w2) / alpha)) / (lam + theta)
+
+    with np.errstate(all="ignore"):  # a non-finite value is refused below
+        value = inverse_laplace_at_1(transform)
+    if not math.isfinite(value):
+        raise ValueError(f"the contour cannot evaluate s = {s!r}, t = {t!r}")
+    return value
 
 
 def covariance_limit(alpha: float, tol: float = 1e-8) -> float:

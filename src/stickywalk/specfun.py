@@ -1,10 +1,14 @@
-"""Error-function family and deterministic adaptive quadrature on [0, 1].
+"""Error-function family, deterministic adaptive quadrature on [0, 1], and
+Laplace inversion on a fixed contour.
 
 The scaled form erfcx(z) = exp(z^2) erfc(z) is the workhorse: every
 exp(b^2 x / 4) * erfc(-(b/2) sqrt(x)) product downstream is a single erfcx
 evaluation, which stays finite where the separate factors overflow and
 underflow.  The complex case routes through the Faddeeva function
 w(z) = exp(-z^2) erfc(-iz), for which erfcx(z) = w(iz).
+
+scipy is imported inside the four functions that use it, not with this
+module, so a caller that only inverts on the contour never loads it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import cmath
 import math
 from typing import Callable
 
-from scipy import integrate, special
+import numpy as np
 
 from .errors import QuadratureError
 
@@ -22,6 +26,9 @@ __all__ = [
     "erfcx_real",
     "erfcx_complex",
     "integrate_01",
+    "CONTOUR_NODES",
+    "CONTOUR_WEIGHTS",
+    "inverse_laplace_at_1",
 ]
 
 # Frozen high-precision reference values (40-digit evaluation of the erfc
@@ -86,6 +93,8 @@ def erfc_real(x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
+    from scipy import special
+
     return float(special.erfc(x))
 
 
@@ -94,6 +103,8 @@ def erfcx_real(x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
+    from scipy import special
+
     return float(special.erfcx(x))
 
 
@@ -102,6 +113,8 @@ def erfcx_complex(z: complex) -> complex:
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
+    from scipy import special
+
     return complex(special.wofz(1j * z))
 
 
@@ -119,6 +132,8 @@ def integrate_01(
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    from scipy import integrate
+
     if singular_sqrt_at_zero:
         g = lambda y: 2.0 * y * f(y * y)
     else:
@@ -131,3 +146,34 @@ def integrate_01(
             estimate=estimate,
         )
     return float(value)
+
+
+def _hyperbolic_contour(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes z_k and weights of the trapezoidal rule, step h, on the hyperbola
+    z(u) = mu (1 + sin(i u - a)), u = k h for k = -N..N, with Weideman and
+    Trefethen's parameters for time 1 (Math. Comp. 76, 2007): mu = 4.4921 N,
+    a = 1.1721, h = 1.0818 / N.  The weight of z_k is h z'(u_k) e^{z_k} / (2 pi i).
+    """
+    mu, a, h = 4.4921 * N, 1.1721, 1.0818 / N
+    arg = 1j * h * np.arange(-N, N + 1) - a
+    nodes = mu * (1.0 + np.sin(arg))
+    return nodes, h * mu / (2.0 * math.pi) * np.exp(nodes) * np.cos(arg)
+
+
+# N = 16, so 33 nodes: more nodes lose accuracy to rounding (weights up to
+# about 84 cancel to the answer), so N is fixed rather than a knob
+CONTOUR_NODES, CONTOUR_WEIGHTS = _hyperbolic_contour(16)
+
+
+def inverse_laplace_at_1(transform: Callable[[np.ndarray], np.ndarray]) -> float:
+    """f(1) from its Laplace transform F, by the trapezoidal rule on a fixed
+    hyperbolic contour: sum_k CONTOUR_WEIGHTS[k] * F(CONTOUR_NODES[k]), real part.
+
+    ``transform`` takes the complex node array and returns F there.  F must be
+    analytic off the negative real axis (poles and branch cuts on it), real on
+    the real axis, and decay like 1/lam.  The contour wraps the whole negative
+    real axis, so the placement of the singularities on it does not matter.
+    For the critical limit's transform the absolute error is about 1e-13
+    (largest gap 9.6e-14 to a 1e-12 quadrature over alpha in [1e-3, 1e6]).
+    """
+    return float(np.dot(CONTOUR_WEIGHTS, transform(CONTOUR_NODES)).real)

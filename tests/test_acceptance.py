@@ -15,6 +15,7 @@ import numpy as np
 from stickywalk.harness import (
     SweepConfig,
     covariance_gaps,
+    critical_route_gap,
     ell_origin_gap,
     ell_transform_gaps,
     gf_gaps,
@@ -108,7 +109,7 @@ def test_criterion_05_critical_convergence():
     ok = True
     details = []
     for alpha in (0.5, 2.0):
-        sups = _sup_errors(RegimeSpec.critical(alpha, quad_tol=1e-10), (256, 1024, 4096))
+        sups = _sup_errors(RegimeSpec.critical(alpha), (256, 1024, 4096))
         mono = all(b <= a for a, b in zip(sups, sups[1:]))
         ok = ok and mono and sups[-1] <= 5e-2
         details.append(f"alpha={alpha}: " + " -> ".join(f"{v:.2e}" for v in sups))
@@ -174,3 +175,11 @@ def test_criterion_10_special_functions():
             f"erfc rel err {worst_erfc:.2e} (tol 1e-13, 50 pts); "
             f"erfcx strip rel err {worst_strip:.2e} (tol 1e-8, 50 pts); "
             f"|ell(0) - 1| {worst_origin:.2e} (tol 1e-8)", started)
+
+
+def test_criterion_11_critical_limit_routes():
+    started = time.time()
+    gap = critical_route_gap(alphas=(0.5, 2.0), axis=GRID_AXIS, tol=1e-12)
+    _report(11, "critical limit: contour vs quadrature", gap <= 1e-12,
+            f"worst |contour - phi_critical(tol=1e-12)| = {gap:.2e} on the 6x6 grid, "
+            "alpha in {0.5, 2} (tol 1e-12)", started)

@@ -1,13 +1,19 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stickywalk.exact as exact
 import stickywalk.harness as harness
+import stickywalk.limits as limits
 import stickywalk.specfun as specfun
 from stickywalk.cli import main
 from stickywalk.exact import CouplingVariant, char_fn_exact
@@ -101,13 +107,19 @@ def test_run_sweep_supercritical_degenerate_direction():
     assert row.f_mc is None and row.mc_stderr is None
 
 
-def test_run_sweep_reads_quad_tol_from_regime():
-    # a tolerance no quadrature meets reaches phi_critical through the regime
-    config = SweepConfig(regime=RegimeSpec.critical(1.0, quad_tol=1e-300), n_list=(16,),
-                         grid=((1.0, 1.0), (0.5, 0.0)))
-    rows = run_sweep(config)
-    assert rows[0].error.startswith("QuadratureError: ")
-    assert rows[1].error == ""  # t = 0: the limit is exp(-s^2 / 2), no quadrature
+def test_run_sweep_critical_limit_integrates_nothing(monkeypatch):
+    # the contour replaces the quadrature; (-4, 4) and (4, -4) once failed it
+    grid = ((-4.0, -4.0), (-4.0, 4.0), (4.0, -4.0), (4.0, 4.0), (1.0, 1.0), (0.5, 0.0))
+    want = [limits.phi_critical(2.0, s, t, tol=1e-12) for s, t in grid]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep integrated")
+
+    monkeypatch.setattr(specfun, "integrate_01", refuse)
+    monkeypatch.setattr(limits, "integrate_01", refuse)
+    rows = run_sweep(SweepConfig(regime=RegimeSpec.critical(2.0), n_list=(16,), grid=grid))
+    assert [row.error for row in rows] == [""] * len(grid)
+    assert max(abs(row.f_limit - w) for row, w in zip(rows, want)) <= 1e-12
 
 
 def test_run_sweep_isolates_row_failures(monkeypatch):
@@ -246,7 +258,7 @@ def test_run_sweep_skips_simulation_the_exact_side_refuses(monkeypatch):
     ]
     assert all(r.error == "" and r.f_mc is not None for r in rows[:2])
     for row in rows[2:]:
-        assert row.error.startswith("CapacityError: the O(n^2) h recursion")
+        assert row.error.startswith("CapacityError: the O(n^1.5) h recursion")
         assert row.f_exact is None and row.f_mc is None
 
 
@@ -419,8 +431,9 @@ def test_cli_config_unknown_key_exits_2(tmp_path, capsys):
         ("regime=nonsense\n", "limit-cf", "nonsense"),  # values are checked like flags
         ("workers=2\n", "mc", "workers"),  # the sampler has no worker count
         ("regime=sub\nalpha=3\n", "limit-cf", "alpha applies only"),  # known, but sub ignores it
-        ("regime=sub\ntol=1e-8\n", "limit-cf", "tol applies only"),
-        ("regime=super\nn=64\ntol=1e-8\n", "sweep", "tol applies only"),
+        # no quadrature tolerance: the critical limit is a fixed contour
+        ("regime=critical\nalpha=1\ntol=1e-8\n", "limit-cf", "run.cfg: tol"),
+        ("regime=super\nn=64\ntol=1e-8\n", "sweep", "run.cfg: tol"),
     ):
         cfg.write_text(text)
         _assert_usage_error([command, "--config", str(cfg)])
@@ -433,9 +446,10 @@ def test_cli_config_unknown_key_exits_2(tmp_path, capsys):
     ["sweep", "--regime", "critical", "--n", "64"],  # critical without --alpha
     ["limit-cf", "--regime", "critical", "--s", "1"],
     ["exact-cf", "--del", "2"],  # flags are not abbreviated
+    # sweep and limit-cf have no --tol: the critical limit is a fixed contour
     ["limit-cf", "--regime", "critical", "--alpha", "1", "--s", "1", "--t", "1", "--tol", "nan"],
     ["gf-check", "--tol", "nan"],
-    # an infinite tolerance: no bound on the series tail or the quadrature error
+    # an infinite tolerance: no bound on the series tail
     ["gf-check", "--tol", "inf"],
     ["limit-cf", "--regime", "critical", "--alpha", "0.3", "--s", "2.5", "--t", "2", "--tol", "inf"],
     ["sweep", "--regime", "critical", "--alpha", "0.3", "--n", "64", "--grid", "2", "--tol", "inf"],
@@ -454,14 +468,13 @@ def test_cli_config_unknown_key_exits_2(tmp_path, capsys):
     ["covariance", "--alpha", "2", "--n", "10", "--out", "/nonexistent/c.csv"],
     ["mc", "--n", "10", "--paths", "10", "--out", "."],
     ["mc", "--n", "10", "--paths", "10", "--out", ""],
-    # --tol would be ignored: sub and super have closed forms, no quadrature
     ["limit-cf", "--regime", "sub", "--s", "1", "--t", "1", "--tol", "inf"],
     ["limit-cf", "--regime", "super", "--tol", "1e-10"],
     ["sweep", "--regime", "sub", "--n", "64", "--grid", "1", "--tol", "1e-8"],
-    # alpha^2 below the smallest normal double; exp((s^2 + t^2) x / 2) overflowing
+    # alpha^2 below the smallest normal double; (s^2 + t^2) / 2 overflowing
     ["limit-cf", "--regime", "critical", "--alpha", "1e-300", "--s", "1", "--t", "1"],
     ["limit-cf", "--regime", "critical", "--alpha", "1e-160", "--s", "1", "--t", "1"],
-    ["limit-cf", "--regime", "critical", "--alpha", "1", "--s", "40", "--t", "40"],
+    ["limit-cf", "--regime", "critical", "--alpha", "1", "--s", "1e154", "--t", "-1e154"],
     ["limit-cf", "--regime", "critical", "--alpha", "1", "--s", "1e300", "--t", "1e300"],
 ])
 def test_cli_missing_or_unparsable_flag_exits_2(argv):
@@ -492,14 +505,49 @@ def test_cli_over_budget_exits_2(argv, tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_cli_quadrature_failure_exits_1(capsys):
-    # a numeric failure, not a usage error: one line on stderr, no traceback
-    assert main(["limit-cf", "--regime", "critical", "--alpha", "1", "--s", "1", "--t", "1",
-                 "--tol", "1e-300"]) == 1
+def test_cli_quadrature_failure_exits_1(monkeypatch, capsys):
+    # a numeric failure, not a usage error: one line on stderr, no traceback;
+    # covariance's limit is the one quadrature a command still runs
+    monkeypatch.setattr(harness, "covariance_limit",
+                        lambda alpha: limits.covariance_limit(alpha, tol=1e-300))
+    assert main(["covariance", "--alpha", "1", "--n", "10"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.count("\n") == 1
-    assert captured.err.startswith("stickywalk limit-cf: error: quadrature reached")
+    assert captured.err.startswith("stickywalk covariance: error: quadrature reached")
+
+
+def test_cli_far_critical_angle_prints_a_number(capsys):
+    # exp((s^2 + t^2) x / 2) overflowed the quadrature here; the contour forms no such factor
+    assert main(["limit-cf", "--regime", "critical", "--alpha", "1", "--s", "40", "--t", "40"]) == 0
+    assert abs(float(capsys.readouterr().out)) <= 1e-13
+
+
+def test_sweep_path_never_imports_scipy():
+    # scipy is loaded only by the quadratures and erfc; the sweep, the sampler,
+    # the exact engine and the critical limit run without it
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        import stickywalk.cli, stickywalk.harness, stickywalk.limits
+        from stickywalk.kernel import StickinessParam, simulate_endpoints
+        regime = stickywalk.limits.RegimeSpec.critical(2.0)
+        rows = stickywalk.harness.run_sweep(stickywalk.harness.SweepConfig(
+            regime=regime, n_list=(16, 64), paths=100))
+        assert not [row.error for row in rows if row.error]
+        stickywalk.limits.limit_cf(regime, 1.0, -0.5)
+        simulate_endpoints(StickinessParam(2.0), 16, 10, 0)
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["exact-cf", "--delta", "2", "--n", "9", "--s", "0.4"],
+                         ["limit-cf", "--regime", "critical", "--alpha", "2", "--s", "1", "--t", "1"],
+                         ["sweep", "--regime", "critical", "--alpha", "2", "--n", "16", "--grid=-4,4"]):
+                assert stickywalk.cli.main(argv) == 0, argv
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_cli_flags_only_where_used():

@@ -160,17 +160,14 @@ def test_regime_spec_validation():
         RegimeSpec(kind="critical")
     with pytest.raises(ValueError):
         RegimeSpec(kind="weird")
-    # the closed-form regimes refuse the critical settings rather than ignore them
+    # each regime refuses the other's setting rather than ignore it
     for kind in ("subcritical", "supercritical"):
         with pytest.raises(ValueError, match="alpha applies only"):
             RegimeSpec(kind=kind, alpha=3.0)
-        with pytest.raises(ValueError, match="quad_tol applies only"):
-            RegimeSpec(kind=kind, quad_tol=1e-8)
-    for quad_tol in (0.0, -1e-10, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            RegimeSpec.critical(1.0, quad_tol=quad_tol)
-    assert RegimeSpec.critical(1.0).quad_tol == 1e-10
-    assert RegimeSpec.critical(1.0, quad_tol=1e-8).quad_tol == 1e-8
+    for coeff in (2.0, 0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="coeff does not apply"):
+            RegimeSpec(kind="critical", alpha=1.0, coeff=coeff)
+    assert RegimeSpec(kind="critical", alpha=1.0, coeff=1.0) == RegimeSpec.critical(1.0)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
             RegimeSpec.critical(bad)
@@ -231,15 +228,44 @@ def test_limit_cf_rejects_non_finite_angles(regime):
     for s, t in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)):
         with pytest.raises(ValueError):
             limit_cf(regime, s, t)
-    if regime.kind == "critical":  # exp((s^2 + t^2) x / 2) overflows a double
-        for s, t in ((40.0, 40.0), (1e300, 1e300), (1e154, -1e154)):
+    if regime.kind == "critical":  # (s^2 + t^2) / 2 or (s + t)^2 overflows a double
+        for s, t in ((1e300, 1e300), (1e154, -1e154), (-1e200, 1.0), (1.33e154, 1e153)):
             with pytest.raises(ValueError):
                 limit_cf(regime, s, t)
+        # no exp((s^2 + t^2) x / 2) is formed: far angles evaluate, near 0
+        for s, t in ((40.0, 40.0), (1e150, 1e150), (2e153, -2.1e153)):
+            assert abs(limit_cf(regime, s, t)) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 7.0])
+def test_limit_cf_far_antidiagonal_is_ell_at_one(alpha):
+    # t = -s: (1 + s^2 G) / (lam + s^2) -> G as s -> inf, and G is ell's transform
+    got = limit_cf(RegimeSpec.critical(alpha), 1e6, -1e6)
+    assert abs(got - ell(limit_params(alpha, 0.0), 1.0)) <= 1e-12
+
+
+def test_limit_cf_is_exact_on_the_axes():
+    regime = RegimeSpec.critical(1.3)
+    assert limit_cf(regime, 0.0, 0.0) == 1.0
+    for s in (0.5, -2.0, 30.0):
+        assert limit_cf(regime, s, 0.0) == limit_cf(regime, 0.0, s) == math.exp(-0.5 * s * s)
+
+
+def test_phi_critical_without_overflow_or_cusp_loss():
+    # ell's sqrt(x) cusp at 0 cost the plain quadrature 9.2e-8 here at tol 1e-10
+    regime = RegimeSpec.critical(1e-3)
+    assert abs(phi_critical(1e-3, 1.0, 1.0) - limit_cf(regime, 1.0, 1.0)) <= 1e-10
+    # exp(theta (x - 1)) <= 1: theta = 900 evaluates, where exp(theta x) overflowed
+    for s, t in ((30.0, 30.0), (4.0, -4.0), (-4.0, 4.0)):
+        want = limit_cf(RegimeSpec.critical(1.0), s, t)
+        assert abs(phi_critical(1.0, s, t, tol=1e-12) - want) <= 1e-12
+    with pytest.raises(ValueError):
+        phi_critical(1.0, 1e300, 1e300)
 
 
 def test_limit_cf_interpolates_to_subcritical():
     axis = (-2.0, -1.0, 1.0, 2.0)
-    regime = RegimeSpec.critical(0.05, quad_tol=1e-9)
+    regime = RegimeSpec.critical(0.05)
     sup = 0.0
     for s in axis:
         for t in axis:
