@@ -12,11 +12,12 @@ reader can see how far the repeats of one run spread:
   uniforms drawn, classified against the thresholds and transposed into
   the step-major int8 class array, then those classes walked;
 - ``simulate_endpoints``: n = 1024, 2e4 paths, seed 7, mc-critical's shape;
-- ``h one angle n=N`` and ``h batch n=N``: the h recursion at n = 1024, 4096
-  and 16384, for the middle one and for all of the 15 distinct
-  (s + t) / sqrt(n) of the default sweep grid, which come in +- pairs and
-  so have 8 distinct cosines, one recursion column each; every batch row
-  must equal its one-angle call byte for byte, or the script stops;
+- ``h one angle n=N`` and ``h batch n=N``: the h recursion at n = 1024, 4096,
+  8192 (sweep-exact's largest call) and 16384, for the middle one and for
+  all of the 15 distinct (s + t) / sqrt(n) of the default sweep grid, which
+  come in +- pairs and so have 8 distinct cosines, one recursion column
+  each; every batch row must equal its one-angle call byte for byte, or the
+  script stops;
 - ``char_fn_exact grid``: the 36 points of that grid at n = 4096, in one call;
 - ``char_fn_exact 25 one-point calls n=12``: one call per point of a 5 x 5
   grid of angles drawn uniformly from [-pi, pi) (seed 7), enum-oracle's call
@@ -109,7 +110,7 @@ def h_rows(repeats: int) -> dict[str, list[float]]:
 
     rows = {}
     grid = default_grid()
-    for n in (1024, 4096, 16384):
+    for n in (1024, 4096, 8192, 16384):
         u = param(n).u
         angles = sorted({(s + t) / math.sqrt(n) for s, t in grid})
         for a, row in zip(angles, exact.diag_fourier_sequence(u, angles, n)):

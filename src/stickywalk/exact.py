@@ -7,9 +7,10 @@ Two independent computation routes are kept deliberately separate:
   the generating functions H(j, t, z) = sum_n h(j, t, n) z^n.  One recursion
   steps every distinct cos t of a batch together, and carries only the cells
   whose |h| reaches the smallest normal double at some angle (about
-  27 sqrt(k) of them after k steps for small angles), so its cost is
-  O(n^1.5) cells per distinct cosine rather than O(n^2) per angle, and
-  nothing is cached between calls;
+  27 sqrt(k) of them after k steps for small angles) and that can still
+  reach the requested h(j) by the last step, so its cost is O(n^1.5) cells
+  per distinct cosine rather than O(n^2) per angle, and nothing is cached
+  between calls;
 * an enumeration of all 4**n move sequences (with the diagonal-dependent
   weights) that serves as a brute-force oracle for small n.  It is split at
   n // 2, meet in the middle: each sequence is still one term, and the cost
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 _ENUM_MAX_N = 14
-# the h recursion to 2**15 takes about 0.45 s for one angle and 1.6 s for the
+# the h recursion to 2**15 takes about 0.4 s for one angle and 1.4 s for the
 # 15 distinct angles of the default sweep grid, which have 8 distinct cosines
 # (2-core x86-64 host, numpy 2.4)
 _H_MAX_N = 1 << 15
@@ -110,6 +111,18 @@ def diag_fourier_sequence(u: float, t, n: int, j: int = 0) -> np.ndarray:
     the frontier see a difference: for small j the output matches, byte for
     byte, the per-angle recursion that carries every cell (tests/oracles.py).
 
+    Light cone: a cell moves at most one index per step, so after step k a
+    cell more than about n - k steps from h(j) can no longer reach it by
+    step n (the domain of dependence of Courant, Friedrichs & Lewy, Math.
+    Ann. 100, 1928).  Those cells are not computed (the bound, in buffer
+    rows, is in _h_steps), and once the cone's edge falls below the
+    frontier the frontier test stops.  The cut is exact, not an
+    approximation: every cell inside the cone reads the same inputs and
+    takes the same floating-point operations, in the same order, as with
+    the full carry, so every output byte is unchanged.  It saves about
+    20 / sqrt(n) of the cells for large n (for the default sweep grid, 44%
+    at n = 1024 and 19% at 8192).
+
     Raises CapacityError for n > 2**15, so every caller refuses a request
     that would run for minutes instead of starting it.
     """
@@ -142,7 +155,11 @@ def _h_steps(u: float, ct: np.ndarray, j: int, col: np.ndarray) -> None:
 
     Buffer row 0 holds h(0), row 1 the (2 - u) h(0) that h(1) weighs with
     1/4, and row i + 1 holds h(i), so every row from 2 on follows the j >= 2
-    rule.  Rows 0..top are carried; rows past top are zero.
+    rule.  Rows 0..top are carried and rows past top are zero, inside the
+    light cone of the output row, target = 0 for j = 0 and j + 1 after: step
+    k computes no row past target + (len(col) - 1 - k) + 1.  Rows past that
+    cap keep stale values but are never read into a row inside it, so every
+    row inside gets the inputs and operations it had without the cap.
     """
     add, multiply = np.add, np.multiply
     # 0-d arrays: a Python float operand is converted again on every call
@@ -157,12 +174,16 @@ def _h_steps(u: float, ct: np.ndarray, j: int, col: np.ndarray) -> None:
     weight[0] = u * ct
     cur[0], cur[1] = 1.0, two_minus_u
     top = 1
+    # a row moves one row per step and row 2 feeds row 0, so after step k no
+    # row past reach - k can reach the output row by the last step
+    reach = (j + 1 if j else 0) + col.shape[0]
     for k in range(1, col.shape[0]):
-        multiply(cur[: top + 2], weight[: top + 2], out=tmp[: top + 2])
-        body = nxt[2 : top + 2]
-        add(cur[1 : top + 1], cur[3 : top + 3], out=body)
+        last = min(top + 1, reach - k)  # the last row this step computes
+        multiply(cur[: last + 1], weight[: last + 1], out=tmp[: last + 1])
+        body = nxt[2 : last + 1]
+        add(cur[1:last], cur[3 : last + 2], out=body)
         body *= quarter
-        body += tmp[2 : top + 2]
+        body += tmp[2 : last + 1]
         h0 = nxt[0]
         add(tmp[0], cur[2], out=h0)
         h0 *= half
@@ -171,12 +192,13 @@ def _h_steps(u: float, ct: np.ndarray, j: int, col: np.ndarray) -> None:
             col[k] = h0
         elif j <= top:
             col[k] = nxt[j + 1]
-        front = nxt[top + 1]
-        if max(map(abs, front.tolist())) < _TINY:
-            front[...] = 0.0  # the frontier cell is not carried
-        else:
-            top += 1
-            weight[top] = half_ct
+        if last > top:  # the frontier row is still inside the cone
+            front = nxt[last]
+            if max(map(abs, front.tolist())) < _TINY:
+                front[...] = 0.0  # the frontier cell is not carried
+            else:
+                top += 1
+                weight[top] = half_ct
         cur, nxt = nxt, cur
 
 

@@ -217,16 +217,29 @@ def phi_critical(alpha: float, s: float, t: float, tol: float = 1e-10) -> float:
     exp(-theta) - t s integral_0^1 exp(theta (x - 1)) ell_{alpha,s+t}(x) dx,
 
     theta = (s^2 + t^2) / 2.  The weight exp(theta (x - 1)) is at most 1, so
-    nothing overflows for finite theta; the integral runs through x = y^2,
-    which absorbs the sqrt(x) cusp of ell at 0.  Raises ValueError where
-    theta overflows and QuadratureError where tol is missed.
+    nothing overflows for finite theta.  Up to theta = L = max(1, log(4/tol))
+    the integral runs through x = y^2, which absorbs the sqrt(x) cusp of ell
+    at 0.  Above L the weight is a boundary layer of width 1/theta at x = 1,
+    so the integral runs in v = theta (1 - x) over [0, L] instead, to
+    3 tol / (4 L) on the unit interval: 0 <= ell <= 1 and |t s| <= theta, so
+    the dropped tail is at most exp(-L) <= tol / 4.  Raises ValueError where
+    theta overflows or tol is not finite and > 0, and QuadratureError where
+    tol is missed.
     """
     params = limit_params(alpha, s + t)  # checks alpha on the shortcut too
     theta = _theta(s, t)
     if s == 0.0 or t == 0.0:
         return math.exp(-theta)
-    weighted = integrate_01(lambda x: math.exp(theta * (x - 1.0)) * ell(params, x),
-                            singular_sqrt_at_zero=True, tol=tol)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    layer = max(1.0, math.log(4.0 / tol))
+    if theta <= layer:
+        weighted = integrate_01(lambda x: math.exp(theta * (x - 1.0)) * ell(params, x),
+                                singular_sqrt_at_zero=True, tol=tol)
+    else:
+        weighted = layer / theta * integrate_01(
+            lambda y: math.exp(-layer * y) * ell(params, 1.0 - layer * y / theta),
+            tol=0.75 * tol / layer)
     return math.exp(-theta) - t * s * weighted
 
 

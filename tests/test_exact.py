@@ -93,7 +93,8 @@ def test_h_matches_per_angle_recursion_bytes(delta):
     for j in (0, 1, 3):
         # the reference is causal: its n = 200 output is its n = 1500 output cut
         want = [per_angle_h_sequence(u, t, 1500, j) for t in _MATCH_ANGLES]
-        for n in (1500, 200):
+        # at small n the light cone binds from about step n / 2 on
+        for n in (1500, 200, 64, 17, 3, 2, 1):
             batch = diag_fourier_sequence(u, _MATCH_ANGLES, n, j=j)
             assert batch.shape == (len(_MATCH_ANGLES), n + 1)
             for t, got, ref in zip(_MATCH_ANGLES, batch, want):
@@ -101,6 +102,37 @@ def test_h_matches_per_angle_recursion_bytes(delta):
         # one angle alone is the one-column batch (n = 200 here, for time)
         for t, ref in zip(_MATCH_ANGLES, want):
             assert diag_fourier_sequence(u, t, 200, j=j).tobytes() == ref[:201].tobytes(), (j, t)
+    # j > n: h(j, t, k) = 0 for every k <= n
+    for n, j in ((1, 2), (3, 40), (64, 65)):
+        got = diag_fourier_sequence(u, _MATCH_ANGLES, n, j=j)
+        assert got.tobytes() == np.zeros_like(got).tobytes(), (n, j)
+
+
+@pytest.mark.parametrize("j", [0, 1, 5])
+@pytest.mark.parametrize("n", [1, 2, 17, 600])
+def test_h_steps_compute_only_the_light_cone(monkeypatch, n, j):
+    # the one 2-D multiply of step k covers buffer rows 0..last; no row past
+    # target + (n - k) + 1 can reach the output row by step n, so none may be
+    # computed: the full carry of about 27 sqrt(k) rows must not come back
+    lasts = []
+    real = np.multiply
+
+    def spying(a, b, out=None, **kwargs):
+        if out is not None and out.ndim == 2:
+            lasts.append(out.shape[0] - 1)
+        return real(a, b, out=out, **kwargs)
+
+    angles = [0.0, 0.4, 2.0]
+    u = StickinessParam(5.0).u
+    monkeypatch.setattr(exact.np, "multiply", spying)
+    got = diag_fourier_sequence(u, angles, n, j=j)
+    monkeypatch.undo()
+    target = j + 1 if j else 0
+    assert len(lasts) == n
+    for k, last in enumerate(lasts, start=1):
+        assert last <= target + (n - k) + 1, (k, last)
+    for t, row in zip(angles, got):
+        assert row.tobytes() == per_angle_h_sequence(u, t, n, j).tobytes(), t
 
 
 @pytest.mark.parametrize("t, j, n", [

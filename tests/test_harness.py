@@ -152,7 +152,7 @@ def _per_point_char_fn(p, s, t, n, variant=CouplingVariant.KERNEL):
 
 def test_run_sweep_bytes_match_per_point_recursion(monkeypatch):
     axis = (-2.0, 0.5, 1.0)
-    config = SweepConfig(regime=RegimeSpec.critical(1.37), n_list=(64, 300),
+    config = SweepConfig(regime=RegimeSpec.critical(1.37), n_list=(64, 300, 1024),
                          grid=tuple((s, t) for s in axis for t in axis), paths=300, seed=5)
     batched = write_report(run_sweep(config), fmt="csv")
     monkeypatch.setattr(harness, "char_fn_exact", _per_point_char_fn)

@@ -263,6 +263,24 @@ def test_phi_critical_without_overflow_or_cusp_loss():
         phi_critical(1.0, 1e300, 1e300)
 
 
+@pytest.mark.parametrize("theta", [1e2, 1e3, 1e4, 1e5])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_phi_critical_resolves_the_boundary_layer(theta, sign, alpha):
+    # exp(theta (x - 1)) is a layer of width 1/theta at x = 1, which an
+    # adaptive rule on all of [0, 1] can miss while its error estimate passes
+    s = math.sqrt(theta)
+    want = limit_cf(RegimeSpec.critical(alpha), s, sign * s)
+    assert abs(phi_critical(alpha, s, sign * s, tol=1e-12) - want) <= 1e-12
+
+
+def test_phi_critical_rejects_bad_tol():
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        for s in (1.0, 150.0):
+            with pytest.raises(ValueError):
+                phi_critical(1.0, s, -s, tol=tol)
+
+
 def test_limit_cf_interpolates_to_subcritical():
     axis = (-2.0, -1.0, 1.0, 2.0)
     regime = RegimeSpec.critical(0.05)
