@@ -29,12 +29,15 @@ reader can see how far the repeats of one run spread:
 - ``phi_critical grid``: the same 36 points by the quadrature route, at its
   default tolerance, after one untimed call has loaded scipy;
 - ``import stickywalk.cli``: a fresh interpreter that imports the CLI and
-  exits, the set-up every command pays (scipy is not loaded).
+  exits, the set-up every command pays (scipy is not loaded);
+- ``stickywalk selftest`` and ``stickywalk sweep``: whole commands, each in a
+  fresh interpreter with its output discarded: the self-test, and a standard
+  sweep, ``sweep --regime critical --alpha 2 --n 256,1024,4096 --paths 10000``.
 
 Each group of rows (the sampler; h and ``char_fn_exact``; the enumeration;
-the critical limit; the import) runs in its own freshly spawned process,
-one group at a time, so the heap one group leaves behind cannot slow or
-speed the next.
+the critical limit; the fresh interpreters) runs in its own freshly spawned
+process, one group at a time, so the heap one group leaves behind cannot
+slow or speed the next.
 
 To compare two checkouts, run each one's own copy and pass the first one's
 output to the second with ``--before``: it is embedded, with the before/after
@@ -156,14 +159,22 @@ def limit_rows(repeats: int) -> dict[str, list[float]]:
     }
 
 
-def import_rows(repeats: int) -> dict[str, list[float]]:
-    argv = [sys.executable, "-c", "import stickywalk.cli"]
+def fresh_interpreter_rows(repeats: int) -> dict[str, list[float]]:
+    cli = ["-m", "stickywalk.cli"]
+    runs = {
+        "import stickywalk.cli (fresh interpreter)": ["-c", "import stickywalk.cli"],
+        "stickywalk selftest (fresh interpreter)": [*cli, "selftest"],
+        "stickywalk sweep critical alpha=2 n=256,1024,4096 paths=10000 (fresh interpreter)": [
+            *cli, "sweep", "--regime", "critical", "--alpha", "2", "--n", "256,1024,4096",
+            "--paths", "10000"],
+    }
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    return {"import stickywalk.cli (fresh interpreter)": times_s(
-        lambda: subprocess.run(argv, env=env, check=True), repeats)}
+    return {row: times_s(lambda: subprocess.run([sys.executable, *args], env=env, check=True,
+                                                stdout=subprocess.DEVNULL), repeats)
+            for row, args in runs.items()}
 
 
-GROUPS = (sampler_rows, h_rows, enumeration_rows, limit_rows, import_rows)
+GROUPS = (sampler_rows, h_rows, enumeration_rows, limit_rows, fresh_interpreter_rows)
 
 
 def measure(repeats: int) -> dict:

@@ -1,5 +1,6 @@
 """Experiment orchestration: regime sweeps, covariance runs, the cross-route
-measurements, and the self-test that runs them at pinned parameters.
+measurements, and CHECKS, the one table of checks on them that the self-test
+(each check's quick side) and the acceptance suite (its full side) run.
 
 Reports are plain rows of floats.  Output is deterministic byte-for-byte for
 a given (config, seed): Monte Carlo substreams are derived from
@@ -11,11 +12,12 @@ thread (there is no worker count to set), and rows are emitted in
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,6 +58,9 @@ __all__ = [
     "run_sweep",
     "run_covariance",
     "run_selftest",
+    "Check",
+    "CHECKS",
+    "run_check",
     "rows_to_csv",
     "rows_to_json",
     "write_report",
@@ -71,6 +76,8 @@ __all__ = [
     "mc_agreement",
     "worst_relative_error",
     "ell_origin_gap",
+    "sweep_sup_errors",
+    "special_function_errors",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -218,6 +225,9 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
 
 def run_covariance(alpha: float, n_list, seed: int = 0, paths: int = 0) -> list[CovarianceRow]:
     """Compare n^-1 E[x y] at delta = alpha sqrt(n) against its limit."""
+    n_list = tuple(n_list)
+    if not n_list or not all(n >= 1 for n in n_list):  # NaN fails too
+        raise ValueError(f"n_list must be nonempty, with every n >= 1, got {list(n_list)}")
     _check_mc_paths(paths)
     limit = covariance_limit(alpha)
     rows: list[CovarianceRow] = []
@@ -277,9 +287,9 @@ def write_report(rows, out: str | Path | None = None, fmt: str = "csv") -> str:
 
 # ---------------------------------------------------------------------------
 # measurements: each cross-route check has one implementation here.  A
-# measurement returns the numbers a verdict is taken on; the self-test runs
-# it at small pinned parameters, and the acceptance suite runs the same
-# function at the parameters and tolerances of its criteria.
+# measurement returns the numbers a verdict is taken on; the table CHECKS
+# below pairs it with that verdict and with the parameters and tolerances of
+# its quick run (the self-test) and its full run (the acceptance suite).
 # ---------------------------------------------------------------------------
 
 def _worst(values, floor: float = 0.0) -> float:
@@ -458,7 +468,30 @@ def ell_origin_gap(alphas, ws) -> float:
                   for alpha in alphas for w in (*ws, 2.0 / alpha))
 
 
-# self-test-only measurements: invariants with no acceptance criterion
+def sweep_sup_errors(regimes, ns, axis) -> dict[str, list[float]]:
+    """Per regime, the sup over the axis x axis grid of run_sweep's
+    |f_exact - f_limit| at each n; a row that failed raises its error."""
+    grid = tuple(itertools.product(axis, axis))
+    out = {}
+    for regime in regimes:
+        rows = run_sweep(SweepConfig(regime=regime, n_list=ns, grid=grid))
+        failed = [row.error for row in rows if row.error]
+        if failed:
+            raise RuntimeError(failed[0])
+        label = f"alpha={regime.alpha}" if regime.kind == "critical" else regime.kind
+        out[label] = [_worst(row.err_exact_limit for row in rows if row.n == n) for n in ns]
+    return out
+
+
+def special_function_errors(alphas, ws) -> dict:
+    """Worst relative error of erfc_real and erfcx_complex against their frozen
+    tables, and ell_origin_gap."""
+    return {"erfc": worst_relative_error(erfc_real, specfun.ERFC_TABLE),
+            "strip": worst_relative_error(erfcx_complex, specfun.ERFCX_STRIP_TABLE),
+            "origin": ell_origin_gap(alphas, ws)}
+
+
+# measurements of invariants that only the self-test runs
 
 def _kernel_unit(row_deltas, delta: float, n: int, paths: int, seed: int) -> dict:
     rows = [(p.u / 4, p.u / 4, p.two_minus_u / 4, p.two_minus_u / 4)
@@ -558,92 +591,182 @@ def _quadrature_order(tols) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# self-test
+# checks: the one table the self-test and the acceptance suite run
 # ---------------------------------------------------------------------------
 
-# (name, measurement, self-test parameters, verdict on the measured value ->
-# (passed, detail)).
-_SELFTEST_CHECKS: tuple[tuple[str, Callable, dict, Callable], ...] = (
-    ("kernel_unit", _kernel_unit,
-     dict(row_deltas=(0.0, 0.3, 1.0, 10.0, 1e6),
-          delta=1.0, n=33, paths=500, seed=11),
-     lambda m: (m["u_exact"] == 0.0 and m["u_limit"] < 1e-11 and m["probs_in_range"]
-                and m["row_sum"] < 1e-15 and m["off_parity"] == 0,
-                "u map, kernel row sums, parity")),
-    ("kernel_statistics", _kernel_statistics, dict(delta=2.0, n=64, paths=20000, seed=7),
-     lambda m: (m["mean_sigmas"] <= 4.0 and m["split_sigmas"] <= 4.0,
-                "marginal means, exchange symmetry "
-                f"({m['splits'][0]} vs {m['splits'][1]} splits)")),
-    ("oracle_equivalence", oracle_gaps,
-     dict(deltas=(0.0, 1.0, 5.0), ns=(1, 3, 6, 8), angles=(-2.0, 0.4, 1.9), js=(0, 1, 3)),
-     lambda m: (m[0] < 1e-12 and m[1] < 1e-12,
-                f"worst |exact - enumeration| = {_worst(m):.3e}")),
-    ("variant_discrimination", variant_values,
-     dict(delta=0.0, s=math.pi / 2, t=math.pi / 2, n=1),
-     lambda m: (abs(m["kernel"] - m["oracle"]) < 1e-12 and abs(m["paper"] + 0.5) < 1e-12
-                and abs(m["paper"] - m["kernel"]) > 0.49,
-                f"paper variant {m['paper'].real:+.3f} vs oracle {m['oracle'].real:+.3f} "
-                "(divergence expected)")),
-    ("variant_asymptotics", variant_sup_gaps,
-     dict(axis=(-2.0, -0.5, 1.0, 2.0), ns=(256, 1024, 4096)),
-     lambda m: (all(a > b for a, b in zip(m, m[1:])),
-                "variant sup gaps " + " > ".join(f"{v:.2e}" for v in m))),
-    ("normalization_symmetry", _normalization_symmetry,
-     dict(deltas=(0.0, 1.5, 20.0)),
-     lambda m: (m["f00"] == 0.0 and m["occ_outside"] <= 0.0 and m["mass"] < 1e-12
-                and m["imag"] == 0.0 and m["exchange"] < 1e-12 and m["h_max"] <= 1.0 + 1e-12,
-                "f(0,0)=1, exchange symmetry (both couplings), |h|<=1, mirrored mass 1")),
-    ("gf_identity", gf_gaps,
-     dict(deltas=(0.5, 3.0), zs=(0.3, 0.6, 0.9), ts=(0.0, 0.5, 2.0), js=(0, 1, 2, 5)),
-     lambda m: (m["margin"] <= 0.0, f"closed form vs series, worst gap {m['gap']:.3e}")),
-    ("erfc_reference", _erfc_reference,
-     dict(xs=np.linspace(0.0, 5.0, 21), zs=(1 + 2j, -0.5 + 3j, 4 - 1j)),
-     lambda m: (m["table"] <= 1e-13 and m["scaling"] < 1e-12 and m["real_axis"] < 1e-10
-                and m["conjugation"] <= 1e-10,
-                f"{m['rows']}-point reference table, scaling identity, conjugation")),
-    ("ell_profile", _ell_profile, dict(alphas=(0.5, 1.0, 2.0), ws=(0.0, 1.0, 2.0, 4.0)),
-     lambda m: (m["origin"] < 1e-8 and m["seam"] < 1e-4,
-                "ell(0)=1 grid, degenerate seam continuity")),
-    ("laplace_consistency", _laplace_consistency,
-     dict(triples=((1.0, 1.0, 1.0), (2.0, 2.0, 0.5), (1.0, 2.0, 1.0)),
-          density_pairs=((0.0, 1.0), (2.0, 0.5)),
-          regimes=(RegimeSpec.subcritical(coeff=2.0), RegimeSpec.critical(2.0),
-                   RegimeSpec.supercritical()),
-          n=10 ** 8, limit_pairs=((0.0, 0.5), (2.0, 2.0))),
-     lambda m: (m["ell_transform"] < 1e-6 and m["density"] < 1e-8 and m["limits"] <= 1e-2,
-                "ell transform == critical target; density identities; closed-form limits")),
-    ("quadrature_order", _quadrature_order, dict(tols=(1e-4, 5e-5, 2.5e-5, 1.25e-5)),
-     lambda m: (m["worst_rise"] <= 1e-15, "error nonincreasing as tol halves")),
-    ("critical_routes", critical_route_gap,
-     dict(alphas=(2.0,), axis=(-2.0, 0.5, 1.0), tol=1e-12),
-     lambda m: (m <= 1e-12, f"critical limit, contour vs quadrature: worst gap {m:.1e}")),
-    ("covariance_consistency", covariance_gaps,
-     dict(n=2000, alphas=(1.0, 2.0), fd_alphas=(1.0,), limit_tol=1e-12),
-     lambda m: (m["gap"] < 1e-3 and m["fd"] < 1e-4,
-                "finite-n covariance near limit; mixed derivative of phi matches")),
-    ("mc_agreement", mc_agreement,
-     dict(delta=2.0 * math.sqrt(256), n=256, paths=20000, seed=20250809,
-          axis=(-1.0, 0.5, 2.0), k_sigma=5.0),
-     lambda m: (m["within"] == m["points"],
-                "Monte Carlo means within 5 sigma of exact on a 3x3 grid")),
+class Check(NamedTuple):
+    """One check: a measurement, the verdict on what it returns, and its runs.
+
+    ``verdict(measured, **tol)`` returns (passed, detail).  ``quick`` (run by
+    the self-test) and ``full`` (run by the acceptance suite) are each
+    (measurement kwargs, tol kwargs), or None where that run has no such check.
+    """
+
+    name: str
+    measure: Callable
+    verdict: Callable[..., tuple[bool, str]]
+    quick: tuple[dict, dict] | None = None
+    full: tuple[dict, dict] | None = None
+
+
+def _laplace_limits(m, tol):
+    # m[kind][pair, n]: each pair's error falls with n, and is <= tol at the last n
+    ok = all(errs[:, -1].max() <= tol and np.all(np.diff(errs, axis=1) < 0.0)
+             for errs in m.values())
+    return ok, ("; ".join(f"{kind}: " + " -> ".join(f"{v:.4f}" for v in errs.max(axis=0))
+                          for kind, errs in m.items())
+                + f" (tol {tol:g} at the largest n, decreasing)")
+
+
+def _sweep_convergence(m, tol):
+    ok = all(sups[-1] <= tol and all(b <= a for a, b in zip(sups, sups[1:]))
+             for sups in m.values())
+    return ok, ("; ".join(f"{label}: " + " -> ".join(f"{v:.2e}" for v in sups)
+                          for label, sups in m.items())
+                + f" (<= {tol:g} at the largest n, nonincreasing)")
+
+
+# delta_n = 2 n^(1/4) for the subcritical Laplace limit: the convergence error
+# is O(delta/sqrt(n)) + O(1/delta) and the coefficient-1 default lands at
+# 1.2e-2 at n = 1e8, just past the pinned 1e-2
+_LAPLACE_REGIMES = (RegimeSpec.subcritical(coeff=2.0), RegimeSpec.critical(2.0),
+                    RegimeSpec.supercritical())
+# delta = 0, so u = 1: one step at s = t = pi/2 tells the two couplings apart
+_U1_POINT = (dict(delta=0.0, s=math.pi / 2, t=math.pi / 2, n=1), dict(tol=1e-12))
+_NS = (256, 1024, 4096)
+
+CHECKS: tuple[Check, ...] = (
+    Check("kernel_unit", _kernel_unit,
+          lambda m: (m["u_exact"] == 0.0 and m["u_limit"] < 1e-11 and m["probs_in_range"]
+                     and m["row_sum"] < 1e-15 and m["off_parity"] == 0,
+                     "u map, kernel row sums, parity"),
+          (dict(row_deltas=(0.0, 0.3, 1.0, 10.0, 1e6), delta=1.0, n=33, paths=500, seed=11), {})),
+    Check("kernel_statistics", _kernel_statistics,
+          lambda m: (m["mean_sigmas"] <= 4.0 and m["split_sigmas"] <= 4.0,
+                     "marginal means, exchange symmetry "
+                     f"({m['splits'][0]} vs {m['splits'][1]} splits)"),
+          (dict(delta=2.0, n=64, paths=20000, seed=7), {})),
+    Check("oracle_equivalence", oracle_gaps,
+          lambda m, tol: (m[0] < tol and m[1] < tol,
+                          f"worst |f-enum| = {m[0]:.2e}, worst |h-enum| = {m[1]:.2e} "
+                          f"(tol {tol:g})"),
+          (dict(deltas=(0.0, 1.0, 5.0), ns=(1, 3, 6, 8), angles=(-2.0, 0.4, 1.9), js=(0, 1, 3)),
+           dict(tol=1e-12)),
+          (dict(deltas=(0.0, 0.5, 1.0, 5.0, 50.0), ns=(1, 2, 3, 4, 6, 9, 12),
+                angles=tuple(np.linspace(-math.pi, math.pi, 5)), js=(0, 1, 2, 5)),
+           dict(tol=1e-12))),
+    Check("variant_discrimination", variant_values,
+          lambda m, tol: (all(abs(v) < tol for v in (m["paper"] + 0.5, m["kernel"], m["oracle"],
+                                                     m["kernel"] - m["oracle"])),
+                          f"finite-n divergence at u=1: paper {m['paper'].real:+.2f} vs oracle "
+                          f"{m['oracle'].real:+.2f} (tol {tol:g})"),
+          _U1_POINT, _U1_POINT),
+    Check("variant_asymptotics", variant_sup_gaps,
+          lambda m: (all(a > b for a, b in zip(m, m[1:])),
+                     "scaled sup gaps " + " > ".join(f"{v:.2e}" for v in m)),
+          (dict(axis=(-2.0, -0.5, 1.0, 2.0), ns=_NS), {}),
+          (dict(axis=DEFAULT_GRID_AXIS, ns=_NS), {})),
+    Check("normalization_symmetry", _normalization_symmetry,
+          lambda m: (m["f00"] == 0.0 and m["occ_outside"] <= 0.0 and m["mass"] < 1e-12
+                     and m["imag"] == 0.0 and m["exchange"] < 1e-12 and m["h_max"] <= 1.0 + 1e-12,
+                     "f(0,0)=1, exchange symmetry (both couplings), |h|<=1, mirrored mass 1"),
+          (dict(deltas=(0.0, 1.5, 20.0)), {})),
+    Check("gf_identity", gf_gaps,
+          lambda m: (m["margin"] <= 0.0, f"closed form vs series, worst gap {m['gap']:.2e}, "
+                     f"worst (gap - tail bound) = {m['margin']:.2e} (must be <= 0)"),
+          (dict(deltas=(0.5, 3.0), zs=(0.3, 0.6, 0.9), ts=(0.0, 0.5, 2.0), js=(0, 1, 2, 5)), {}),
+          (dict(deltas=(0.5, 1.0, 5.0), zs=(0.3, 0.6, 0.9), ts=(0.0, 0.5, 2.0),
+                js=(0, 1, 2, 5)), {})),
+    Check("erfc_reference", _erfc_reference,
+          lambda m: (m["table"] <= 1e-13 and m["scaling"] < 1e-12 and m["real_axis"] < 1e-10
+                     and m["conjugation"] <= 1e-10,
+                     f"{m['rows']}-point reference table, scaling identity, conjugation"),
+          (dict(xs=np.linspace(0.0, 5.0, 21), zs=(1 + 2j, -0.5 + 3j, 4 - 1j)), {})),
+    Check("special_functions", special_function_errors,
+          lambda m, erfc_tol, strip_tol, origin_tol: (
+              m["erfc"] <= erfc_tol and m["strip"] <= strip_tol and m["origin"] <= origin_tol,
+              f"erfc rel err {m['erfc']:.2e} (tol {erfc_tol:g}); erfcx strip rel err "
+              f"{m['strip']:.2e} (tol {strip_tol:g}); "
+              f"|ell(0) - 1| {m['origin']:.2e} (tol {origin_tol:g})"),
+          full=(dict(alphas=(0.5, 1.0, 2.0, 8.0), ws=(0.0, 1.0, 2.0, 4.0)),
+                dict(erfc_tol=1e-13, strip_tol=1e-8, origin_tol=1e-8))),
+    Check("ell_profile", _ell_profile,
+          lambda m: (m["origin"] < 1e-8 and m["seam"] < 1e-4,
+                     "ell(0)=1 grid, degenerate seam continuity"),
+          (dict(alphas=(0.5, 1.0, 2.0), ws=(0.0, 1.0, 2.0, 4.0)), {})),
+    Check("ell_transform", ell_transform_gaps,
+          lambda m, tol: (m["gap"] <= tol and m["complex"] and m["degenerate"],
+                          f"worst |quad - closed form| = {m['gap']:.2e} (tol {tol:g}; "
+                          f"complex branch: {m['complex']}, degenerate: {m['degenerate']})"),
+          full=(dict(triples=tuple(itertools.product((0.5, 1.0, 2.0), (0.0, 1.0, 2.0),
+                                                     (0.5, 1.0, 2.0)))), dict(tol=1e-6))),
+    Check("laplace_consistency", _laplace_consistency,
+          lambda m: (m["ell_transform"] < 1e-6 and m["density"] < 1e-8 and m["limits"] <= 1e-2,
+                     "ell transform == critical target; density identities; closed-form limits"),
+          (dict(triples=((1.0, 1.0, 1.0), (2.0, 2.0, 0.5), (1.0, 2.0, 1.0)),
+                density_pairs=((0.0, 1.0), (2.0, 0.5)), regimes=_LAPLACE_REGIMES,
+                n=10 ** 8, limit_pairs=((0.0, 0.5), (2.0, 2.0))), {})),
+    Check("laplace_limits", laplace_limit_errors, _laplace_limits,
+          full=(dict(regimes=_LAPLACE_REGIMES, ns=(10 ** 4, 10 ** 8),
+                     pairs=tuple(itertools.product((0.0, 1.0, 2.0), (0.5, 1.0, 2.0)))),
+                dict(tol=1e-2))),
+    Check("quadrature_order", _quadrature_order,
+          lambda m: (m["worst_rise"] <= 1e-15, "error nonincreasing as tol halves"),
+          (dict(tols=(1e-4, 5e-5, 2.5e-5, 1.25e-5)), {})),
+    Check("critical_routes", critical_route_gap,
+          lambda m, tol: (m <= tol, f"worst |contour - phi_critical| = {m:.2e} (tol {tol:g})"),
+          (dict(alphas=(2.0,), axis=(-2.0, 0.5, 1.0), tol=1e-12), dict(tol=1e-12)),
+          (dict(alphas=(0.5, 2.0), axis=DEFAULT_GRID_AXIS, tol=1e-12), dict(tol=1e-12))),
+    Check("critical_convergence", sweep_sup_errors, _sweep_convergence,
+          full=(dict(regimes=(RegimeSpec.critical(0.5), RegimeSpec.critical(2.0)), ns=_NS,
+                     axis=DEFAULT_GRID_AXIS), dict(tol=5e-2))),
+    Check("sub_super_convergence", sweep_sup_errors, _sweep_convergence,
+          full=(dict(regimes=(RegimeSpec.subcritical(), RegimeSpec.supercritical()), ns=_NS,
+                     axis=DEFAULT_GRID_AXIS), dict(tol=5e-2))),
+    Check("covariance_consistency", covariance_gaps,
+          lambda m, gap_tol, fd_tol: (
+              m["gap"] < gap_tol and m["fd"] < fd_tol,
+              f"worst |n^-1 cov - limit| = {m['gap']:.2e} (tol {gap_tol:g}); "
+              f"worst |d2phi/dsdt + limit| = {m['fd']:.2e} (tol {fd_tol:g})"),
+          (dict(n=2000, alphas=(1.0, 2.0), fd_alphas=(1.0,), limit_tol=1e-12),
+           dict(gap_tol=1e-3, fd_tol=1e-4)),
+          (dict(n=10 ** 4, alphas=(0.5, 1.0, 2.0, 8.0), fd_alphas=(0.5, 1.0, 2.0, 8.0),
+                limit_tol=1e-10), dict(gap_tol=2e-2, fd_tol=1e-4))),
+    Check("mc_agreement", mc_agreement,
+          lambda m, min_fraction: (
+              m["within"] / m["points"] >= min_fraction,
+              f"{m['within']}/{m['points']} grid points within k_sigma stderr "
+              f"({m['within'] / m['points']:.1%}, need {min_fraction:.0%})"),
+          (dict(delta=2.0 * math.sqrt(256), n=256, paths=20000, seed=20250809,
+                axis=(-1.0, 0.5, 2.0), k_sigma=5.0), dict(min_fraction=1.0)),
+          (dict(delta=2.0 * math.sqrt(1024), n=1024, paths=10 ** 5, seed=20250809,
+                axis=DEFAULT_GRID_AXIS, k_sigma=4.0), dict(min_fraction=0.99))),
 )
 
 
+def run_check(check: Check, side: str) -> tuple[bool, str]:
+    """Run the "quick" or "full" side of a check: (passed, detail).  A failed
+    verdict's detail ends with the measured value; an exception fails it."""
+    params, tol = getattr(check, side)
+    try:
+        measured = check.measure(**params)
+        ok, detail = check.verdict(measured, **tol)
+        if not ok:
+            detail = f"{detail}; measured {measured}"
+    except Exception as exc:
+        ok, detail = False, _error_text(exc)
+    return bool(ok), detail
+
+
 def run_selftest() -> dict:
-    """Run every invariant suite at pinned parameters.
+    """Run the quick side of every check that has one, in table order.
 
     Returns a JSON-ready summary; "passed" is the overall verdict.  Checks
     that depend on the coupling variant run both variants.
     """
     checks = {}
-    for name, measure, params, verdict in _SELFTEST_CHECKS:
-        try:
-            measured = measure(**params)
-            ok, detail = verdict(measured)
-            if not ok:
-                detail = f"{detail}; measured {measured}"
-        except Exception as exc:
-            ok, detail = False, _error_text(exc)
-        checks[name] = {"passed": bool(ok), "detail": detail}
-    passed = all(entry["passed"] for entry in checks.values())
-    return {"passed": passed, "checks": checks}
+    for check in CHECKS:
+        if check.quick is not None:
+            passed, detail = run_check(check, "quick")
+            checks[check.name] = {"passed": passed, "detail": detail}
+    return {"passed": all(entry["passed"] for entry in checks.values()), "checks": checks}

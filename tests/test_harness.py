@@ -18,7 +18,9 @@ import stickywalk.specfun as specfun
 from stickywalk.cli import main
 from stickywalk.exact import CouplingVariant, char_fn_exact
 from stickywalk.harness import (
+    CHECKS,
     SweepConfig,
+    run_check,
     run_covariance,
     run_selftest,
     run_sweep,
@@ -280,6 +282,15 @@ def test_run_covariance_refuses_paths_without_a_standard_error(paths):
         run_covariance(2.0, n_list=(64,), paths=paths)
 
 
+@pytest.mark.parametrize("n_list", [(), (0,), (-3,), (64, 0), (math.nan,)])
+def test_run_covariance_refuses_bad_n_list(monkeypatch, n_list):
+    # (0,) once wrote a ZeroDivisionError row and (-3,) escaped math.sqrt;
+    # the refusal comes before any work, the limit's quadrature included
+    monkeypatch.setattr(harness, "covariance_limit", lambda *args: pytest.fail("work started"))
+    with pytest.raises(ValueError, match="n_list must be nonempty"):
+        run_covariance(2.0, n_list=n_list)
+
+
 def test_report_json_roundtrip(tmp_path):
     rows = run_covariance(2.0, n_list=(64,))
     out = tmp_path / "report.json"
@@ -297,6 +308,19 @@ def test_selftest_passes_for_both_couplings():
     report = run_selftest()
     assert report["passed"], {k: v for k, v in report["checks"].items() if not v["passed"]}
     assert set(report) == {"passed", "checks"}
+    # perfbench's selftest work_per_s counts these checks, so their number is pinned
+    assert list(report["checks"]) == [
+        "kernel_unit", "kernel_statistics", "oracle_equivalence", "variant_discrimination",
+        "variant_asymptotics", "normalization_symmetry", "gf_identity", "erfc_reference",
+        "ell_profile", "laplace_consistency", "quadrature_order", "critical_routes",
+        "covariance_consistency", "mc_agreement"]
+
+
+def test_check_table_shape():
+    names = [check.name for check in CHECKS]
+    assert len(set(names)) == len(names)
+    for check in CHECKS:
+        assert check.quick is not None or check.full is not None, check.name
 
 
 def test_selftest_negative_control(monkeypatch):
@@ -317,6 +341,15 @@ def test_selftest_fails_on_nan_gap(monkeypatch):
     assert not report["passed"]
     assert not report["checks"]["gf_identity"]["passed"]
     assert report["checks"]["erfc_reference"]["passed"]
+
+
+def test_full_side_fails_on_nan_gap(monkeypatch):
+    check = {check.name: check for check in CHECKS}["critical_routes"]
+    assert run_check(check, "full")[0]
+    monkeypatch.setattr(harness, "phi_critical", lambda *args, **kwargs: math.nan)
+    passed, detail = run_check(check, "full")
+    assert not passed
+    assert "= nan" in detail
 
 
 @pytest.mark.parametrize("target, measure", [
