@@ -304,6 +304,17 @@ def test_oracle_equivalence_grid():
                     assert gap <= 1e-12, (delta, n, j, t)
 
 
+def test_variant_discrimination():
+    p = StickinessParam(0.0)
+    s = t = math.pi / 2
+    paper = char_fn_exact(p, s, t, 1, CouplingVariant.PAPER)
+    kernel = char_fn_exact(p, s, t, 1, CouplingVariant.KERNEL)
+    oracle = brute_force_char(p, s, t, 1)
+    assert paper.real == pytest.approx(-0.5, abs=1e-12)
+    assert abs(kernel) <= 1e-12
+    assert abs(oracle) <= 1e-12
+
+
 def test_variant_agreement_under_scaling():
     grid = [(s, t) for s in (-2.0, 1.0, 2.0) for t in (-2.0, 1.0, 2.0)]
     sups = []
@@ -415,6 +426,18 @@ def test_gf_printed_form_matches_rearrangement():
             1.0 - z * ct / 2.0 - math.sqrt(1.0 - ct * z - math.sin(t) ** 2 * z * z / 4.0)
         )
         assert gf_h0_reciprocal(p, t, z) == pytest.approx(printed, abs=1e-13)
+
+
+def test_gf_closed_vs_series_with_tail_bound():
+    for delta in (0.5, 1.0, 5.0):
+        p = StickinessParam(delta)
+        for z in (0.3, 0.6, 0.9):
+            N = series_truncation(z, 1e-13)
+            for t in (0.0, 0.5, 2.0):
+                for j in (0, 1, 2, 5):
+                    closed = gf_closed_form(p, t, z, j)
+                    series = gf_series(p, t, z, j, N)
+                    assert abs(closed - series) <= z ** (N + 1) / (1.0 - z) + 1e-12
 
 
 def test_gf_series_examples():

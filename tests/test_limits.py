@@ -3,12 +3,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stickywalk.exact import char_fn_exact
+from stickywalk.exact import char_fn_exact, exact_covariance
 from stickywalk.kernel import StickinessParam
 from stickywalk.limits import (
     RegimeSpec,
     covariance_limit,
     ell,
+    ell_laplace_numeric,
     laplace_empirical,
     laplace_numeric,
     laplace_target,
@@ -104,6 +105,12 @@ def test_laplace_targets():
     far = laplace_target(RegimeSpec.critical(1e3), 1.0, 1.0)
     sup = laplace_target(RegimeSpec.supercritical(), 1.0, 1.0)
     assert abs(far - sup) <= 5.0 / 1e3
+
+
+def test_laplace_identity_for_ell():
+    got = ell_laplace_numeric(1.0, 1.0, 1.0, tol=1e-9)
+    want = laplace_target(RegimeSpec.critical(1.0), 1.0, 1.0)
+    assert got == pytest.approx(want, abs=1e-6)
 
 
 def test_density_transforms():
@@ -291,6 +298,13 @@ def test_covariance_limit_asymptotes():
     for alpha in (0.25, 1.0, 4.0):
         value = covariance_limit(alpha)
         assert 0.0 < value < 1.0
+
+
+def test_covariance_limit_matches_exact_engine():
+    n = 10**4
+    for alpha in (0.5, 2.0):
+        exact = exact_covariance(StickinessParam(alpha * math.sqrt(n)), n) / n
+        assert abs(exact - covariance_limit(alpha)) <= 2e-2
 
 
 def test_covariance_limit_domain():

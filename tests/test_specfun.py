@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stickywalk.errors import QuadratureError
-from stickywalk.specfun import erfc_real, erfcx_complex, erfcx_real, integrate_01
+from stickywalk.specfun import (
+    ERFC_TABLE,
+    ERFCX_STRIP_TABLE,
+    erfc_real,
+    erfcx_complex,
+    erfcx_real,
+    integrate_01,
+)
 
 from oracles import ERFC_ONE, ERFCX_I
 
@@ -13,6 +20,11 @@ from oracles import ERFC_ONE, ERFCX_I
 def test_erfc_basic_values():
     assert erfc_real(0.0) == 1.0
     assert erfc_real(1.0) == pytest.approx(ERFC_ONE, rel=1e-14)
+
+
+def test_erfc_against_frozen_table():
+    for x, want in ERFC_TABLE:
+        assert abs(erfc_real(x) - want) <= 1e-13 * abs(want), x
 
 
 @given(st.floats(min_value=-5.0, max_value=5.0))
@@ -83,6 +95,12 @@ def test_erfcx_complex_conjugation(re, im):
     a = erfcx_complex(z).conjugate()
     b = erfcx_complex(z.conjugate())
     assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
+
+
+def test_erfcx_complex_against_frozen_strip_table():
+    for z, want in ERFCX_STRIP_TABLE:
+        got = erfcx_complex(z)
+        assert abs(got - want) <= 1e-8 * abs(want), z
 
 
 def test_integrate_basic_values():
