@@ -30,9 +30,11 @@ reader can see how far the repeats of one run spread:
   default tolerance, after one untimed call has loaded scipy;
 - ``import stickywalk.cli``: a fresh interpreter that imports the CLI and
   exits, the set-up every command pays (scipy is not loaded);
-- ``stickywalk selftest`` and ``stickywalk sweep``: whole commands, each in a
-  fresh interpreter with its output discarded: the self-test, and a standard
-  sweep, ``sweep --regime critical --alpha 2 --n 256,1024,4096 --paths 10000``.
+- ``stickywalk selftest``, ``stickywalk covariance`` and ``stickywalk sweep``:
+  whole commands, each in a fresh interpreter with its output discarded: the
+  self-test, ``covariance --alpha 2`` at its default n = 100, 1000, 10000,
+  and a standard sweep,
+  ``sweep --regime critical --alpha 2 --n 256,1024,4096 --paths 10000``.
 
 Each group of rows (the sampler; h and ``char_fn_exact``; the enumeration;
 the critical limit; the fresh interpreters) runs in its own freshly spawned
@@ -164,6 +166,7 @@ def fresh_interpreter_rows(repeats: int) -> dict[str, list[float]]:
     runs = {
         "import stickywalk.cli (fresh interpreter)": ["-c", "import stickywalk.cli"],
         "stickywalk selftest (fresh interpreter)": [*cli, "selftest"],
+        "stickywalk covariance alpha=2 (fresh interpreter)": [*cli, "covariance", "--alpha", "2"],
         "stickywalk sweep critical alpha=2 n=256,1024,4096 paths=10000 (fresh interpreter)": [
             *cli, "sweep", "--regime", "critical", "--alpha", "2", "--n", "256,1024,4096",
             "--paths", "10000"],

@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import CapacityError, QuadratureError
+from .errors import CapacityError
 from .exact import CouplingVariant, char_fn_exact
 from .harness import (
     DEFAULT_GRID_AXIS,
@@ -255,9 +255,6 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, CapacityError) as exc:  # out of range, or over the work budget
         sub.error(str(exc))
-    except QuadratureError as exc:  # a numeric failure: one line, no traceback
-        print(f"{sub.prog}: error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

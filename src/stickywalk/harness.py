@@ -109,6 +109,14 @@ def _check_mc_paths(paths: int) -> None:
         raise ValueError(f"paths must be 0 (no Monte Carlo) or >= 2, got {paths}")
 
 
+def _step_counts(n_list) -> tuple[int, ...]:
+    """n_list as ints; ValueError unless nonempty with every n an integer >= 1."""
+    n_list = tuple(n_list)
+    if not n_list or not all(n >= 1 and n % 1 == 0 for n in n_list):  # NaN, inf, 2.5 fail
+        raise ValueError(f"n_list must be nonempty, with every n an integer >= 1, got {list(n_list)}")
+    return tuple(int(n) for n in n_list)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One convergence sweep: a regime, step counts, and an (s, t) grid."""
@@ -121,12 +129,10 @@ class SweepConfig:
     coupling: CouplingVariant = CouplingVariant.KERNEL
 
     def __post_init__(self):
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        object.__setattr__(self, "n_list", _step_counts(self.n_list))
         object.__setattr__(self, "grid", tuple((float(s), float(t)) for s, t in self.grid))
-        if not self.n_list or any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
-            raise ValueError("n_list must be nonempty and strictly increasing")
-        if any(n < 1 for n in self.n_list):
-            raise ValueError("n_list entries must be >= 1")
+        if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
+            raise ValueError("n_list must be strictly increasing")
         if not self.grid:
             raise ValueError("grid must be nonempty")
         if not all(math.isfinite(v) for point in self.grid for v in point):
@@ -225,9 +231,7 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
 
 def run_covariance(alpha: float, n_list, seed: int = 0, paths: int = 0) -> list[CovarianceRow]:
     """Compare n^-1 E[x y] at delta = alpha sqrt(n) against its limit."""
-    n_list = tuple(n_list)
-    if not n_list or not all(n >= 1 for n in n_list):  # NaN fails too
-        raise ValueError(f"n_list must be nonempty, with every n >= 1, got {list(n_list)}")
+    n_list = _step_counts(n_list)
     _check_mc_paths(paths)
     limit = covariance_limit(alpha)
     rows: list[CovarianceRow] = []
@@ -242,11 +246,11 @@ def run_covariance(alpha: float, n_list, seed: int = 0, paths: int = 0) -> list[
                 mc, mc_stderr = _mean_stderr((sample.x * sample.y).astype(np.float64) / n)
                 err_mc = abs(mc - value)
             rows.append(CovarianceRow(
-                n=int(n), delta=delta, exact=value, mc=mc, mc_stderr=mc_stderr,
+                n=n, delta=delta, exact=value, mc=mc, mc_stderr=mc_stderr,
                 limit=limit, err_exact_limit=abs(value - limit), err_mc_exact=err_mc,
             ))
         except Exception as exc:
-            rows.append(CovarianceRow(n=int(n), delta=delta, error=_error_text(exc)))
+            rows.append(CovarianceRow(n=n, delta=delta, error=_error_text(exc)))
     return rows
 
 
@@ -409,20 +413,22 @@ def laplace_limit_errors(regimes, ns, pairs) -> dict[str, np.ndarray]:
 
 
 def covariance_gaps(n: int, alphas, fd_alphas, limit_tol: float) -> dict:
-    """Worst |n^-1 E[x y] - limit| at delta = alpha sqrt(n) over alphas, and
-    worst |central-difference (step 1e-3) d2 phi/ds dt at 0 + limit| over
-    fd_alphas."""
+    """Worst |n^-1 E[x y] - limit| at delta = alpha sqrt(n) and ("routes") worst |limit
+    - integral_0^1 erfcx(2 sqrt(v) / alpha) dv to limit_tol| over alphas, and worst
+    |central-difference (step 1e-3) d2 phi/ds dt at 0 + limit| over fd_alphas."""
     h = 1e-3
-    gaps, fd_gaps = [], []
+    gaps, routes, fd_gaps = [], [], []
     for alpha in alphas:
-        limit = covariance_limit(alpha, tol=limit_tol)
+        limit = covariance_limit(alpha)
         gaps.append(abs(exact_covariance(StickinessParam(alpha * math.sqrt(n)), n) / n - limit))
+        routes.append(abs(limit - integrate_01(lambda v: erfcx_real(2.0 * math.sqrt(v) / alpha),
+                                               singular_sqrt_at_zero=True, tol=limit_tol)))
         if alpha in fd_alphas:
             fd = (phi_critical(alpha, h, h, tol=1e-12) - phi_critical(alpha, h, -h, tol=1e-12)
                   - phi_critical(alpha, -h, h, tol=1e-12)
                   + phi_critical(alpha, -h, -h, tol=1e-12)) / (4.0 * h * h)
             fd_gaps.append(abs(fd + limit))
-    return {"gap": _worst(gaps), "fd": _worst(fd_gaps)}
+    return {"gap": _worst(gaps), "routes": _worst(routes), "fd": _worst(fd_gaps)}
 
 
 def critical_route_gap(alphas, axis, tol: float) -> float:
@@ -724,14 +730,15 @@ CHECKS: tuple[Check, ...] = (
           full=(dict(regimes=(RegimeSpec.subcritical(), RegimeSpec.supercritical()), ns=_NS,
                      axis=DEFAULT_GRID_AXIS), dict(tol=5e-2))),
     Check("covariance_consistency", covariance_gaps,
-          lambda m, gap_tol, fd_tol: (
-              m["gap"] < gap_tol and m["fd"] < fd_tol,
+          lambda m, gap_tol, fd_tol, route_tol: (
+              m["gap"] < gap_tol and m["fd"] < fd_tol and m["routes"] <= route_tol,
               f"worst |n^-1 cov - limit| = {m['gap']:.2e} (tol {gap_tol:g}); "
-              f"worst |d2phi/dsdt + limit| = {m['fd']:.2e} (tol {fd_tol:g})"),
+              f"worst |d2phi/dsdt + limit| = {m['fd']:.2e} (tol {fd_tol:g}); "
+              f"worst |contour - quadrature| = {m['routes']:.2e} (tol {route_tol:g})"),
           (dict(n=2000, alphas=(1.0, 2.0), fd_alphas=(1.0,), limit_tol=1e-12),
-           dict(gap_tol=1e-3, fd_tol=1e-4)),
+           dict(gap_tol=1e-3, fd_tol=1e-4, route_tol=1e-12)),
           (dict(n=10 ** 4, alphas=(0.5, 1.0, 2.0, 8.0), fd_alphas=(0.5, 1.0, 2.0, 8.0),
-                limit_tol=1e-10), dict(gap_tol=2e-2, fd_tol=1e-4))),
+                limit_tol=1e-12), dict(gap_tol=2e-2, fd_tol=1e-4, route_tol=1e-12))),
     Check("mc_agreement", mc_agreement,
           lambda m, min_fraction: (
               m["within"] / m["points"] >= min_fraction,

@@ -6,10 +6,10 @@ decouple into a product of standard normals, far above they fuse into a
 single normal, and on the critical scale delta_n ~ alpha sqrt(n) the Fourier
 transform picks up an integral of the occupation profile ell_{alpha,w}.
 
-The critical Fourier transform has two routes.  limit_cf inverts its
-closed-form Laplace transform on a fixed 33-node contour (absolute error
-about 1e-13, no quadrature and no scipy); phi_critical integrates ell by
-adaptive quadrature and is the independent check on it.
+The critical limit_cf and covariance_limit invert Laplace transforms built on
+the paper's critical target G on a fixed 33-node contour (absolute error about
+1e-13, no quadrature, no scipy).  Quadratures are the checks: phi_critical
+integrates ell, and the harness integrates erfcx for the covariance limit.
 
 ell is assembled from erfcx with parameters b1 = -2/alpha + 2*gamma and
 b2 = -2/alpha - 2*gamma, gamma = sqrt(alpha^-2 - w^2/4) (taken with positive
@@ -171,15 +171,20 @@ class RegimeSpec:
         return self.coeff * float(n) ** _EXPONENTS[self.kind]
 
 
+def _critical_target(lam, w2: float, alpha: float, scale: float = 1.0):
+    """scale * G(lam), G = 1 / (lam + w^2/2 + sqrt(4 lam + w^2) / alpha) the paper's
+    critical target (the transform of ell), in one division; lam real or complex."""
+    return scale / (lam + 0.5 * w2 + np.sqrt(4.0 * lam + w2) / alpha)
+
+
 def laplace_target(regime: RegimeSpec, w: float, lam: float) -> float:
     """Limiting Laplace-transform value for the regime at (w, lam)."""
     if not (lam > 0.0):
         raise ValueError("lam must be > 0")
-    root = math.sqrt(4.0 * lam + w * w)
     if regime.kind == "subcritical":
-        return 1.0 / root
+        return 1.0 / math.sqrt(4.0 * lam + w * w)
     if regime.kind == "critical":
-        return 1.0 / (0.5 * w * w + lam + root / regime.alpha)
+        return float(_critical_target(lam, w * w, regime.alpha))
     return 1.0 / (0.5 * w * w + lam)
 
 
@@ -271,29 +276,21 @@ def limit_cf(regime: RegimeSpec, s: float, t: float) -> float:
     if ts == 0.0:  # an axis: the Gaussian marginal, exactly
         return math.exp(-theta)
 
-    def transform(lam):
-        return (1.0 - ts / (lam + 0.5 * w2 + np.sqrt(4.0 * lam + w2) / alpha)) / (lam + theta)
-
     with np.errstate(all="ignore"):  # a non-finite value is refused below
-        value = inverse_laplace_at_1(transform)
+        value = inverse_laplace_at_1(
+            lambda lam: (1.0 - _critical_target(lam, w2, alpha, ts)) / (lam + theta))
     if not math.isfinite(value):
         raise ValueError(f"the contour cannot evaluate s = {s!r}, t = {t!r}")
     return value
 
 
-def covariance_limit(alpha: float, tol: float = 1e-8) -> float:
-    """Limit of n^-1 E[x y] under delta_n = alpha sqrt(n):
-
-    integral_0^1 exp(4 v / alpha^2) erfc(2 sqrt(v) / alpha) dv, evaluated as
-    integral_0^1 erfcx(2 sqrt(v) / alpha) dv.  Value in (0, 1).
-    """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
-    return integrate_01(
-        lambda v: erfcx_real(2.0 * math.sqrt(v) / alpha),
-        singular_sqrt_at_zero=True,
-        tol=tol,
-    )
+def covariance_limit(alpha: float) -> float:
+    """Limit of n^-1 E[x y] under delta_n = alpha sqrt(n), in (0, 1): -d2 phi/ds dt
+    at 0, the inverse Laplace transform at time 1 of G(lam) / lam at w = 0 on
+    limit_cf's contour; integral_0^1 erfcx(2 sqrt(v) / alpha) dv is its check."""
+    if not (math.isfinite(alpha) and alpha >= _ALPHA_MIN):
+        raise ValueError(f"alpha must be finite and >= 2**-511, got {alpha!r}")
+    return inverse_laplace_at_1(lambda lam: _critical_target(lam, 0.0, alpha) / lam)
 
 
 def laplace_numeric(

@@ -227,10 +227,12 @@ def inverse_laplace_at_1(transform: Callable[[np.ndarray], np.ndarray]) -> float
     hyperbolic contour: sum_k CONTOUR_WEIGHTS[k] * F(CONTOUR_NODES[k]), real part.
 
     ``transform`` takes the complex node array and returns F there.  F must be
-    analytic off the negative real axis (poles and branch cuts on it), real on
-    the real axis, and decay like 1/lam.  The contour wraps the whole negative
-    real axis, so the placement of the singularities on it does not matter.
-    For the critical limit's transform the absolute error is about 1e-13
-    (largest gap 9.6e-14 to a 1e-12 quadrature over alpha in [1e-3, 1e6]).
+    analytic off (-inf, 0] (poles and branch cuts there), real on the real
+    axis, and decay like 1/lam or faster.  The contour wraps all of (-inf, 0],
+    so the placement of the singularities on it does not matter.  The
+    absolute error is about 1e-13 for the critical limit's transform (largest
+    gap 9.6e-14 to a 1e-12 quadrature over alpha in [1e-3, 1e6]) and for the
+    covariance transform G(lam) / lam (1.24e-14 to a 1e-13 quadrature over
+    alpha in [1e-3, 1e12]).
     """
     return float(np.dot(CONTOUR_WEIGHTS, transform(CONTOUR_NODES)).real)

@@ -49,6 +49,9 @@ def test_sweep_config_validation():
     for grid in (((math.nan, 1.0),), ((1.0, 1.0), (0.5, math.inf)), ((-math.inf, 0.0),)):
         with pytest.raises(ValueError):
             SweepConfig(regime=regime, n_list=(64,), grid=grid)
+    for n_list in ((2.5, 7.9), (64, 128.5), (math.inf,), (math.nan,)):  # once (2, 7), or OverflowError
+        with pytest.raises(ValueError, match="integer"):
+            SweepConfig(regime=regime, n_list=n_list, grid=((1.0, 1.0),))
 
 
 def test_sweep_config_rejects_tolerances_dict():
@@ -282,10 +285,10 @@ def test_run_covariance_refuses_paths_without_a_standard_error(paths):
         run_covariance(2.0, n_list=(64,), paths=paths)
 
 
-@pytest.mark.parametrize("n_list", [(), (0,), (-3,), (64, 0), (math.nan,)])
+@pytest.mark.parametrize("n_list", [(), (0,), (-3,), (64, 0), (math.nan,), (2.5,), (math.inf,)])
 def test_run_covariance_refuses_bad_n_list(monkeypatch, n_list):
-    # (0,) once wrote a ZeroDivisionError row and (-3,) escaped math.sqrt;
-    # the refusal comes before any work, the limit's quadrature included
+    # (0,) once wrote a ZeroDivisionError row, (-3,) escaped math.sqrt, (2.5,)
+    # wrote a TypeError row and (inf,) escaped int(); refused before any work
     monkeypatch.setattr(harness, "covariance_limit", lambda *args: pytest.fail("work started"))
     with pytest.raises(ValueError, match="n_list must be nonempty"):
         run_covariance(2.0, n_list=n_list)
@@ -343,6 +346,16 @@ def test_selftest_fails_on_nan_gap(monkeypatch):
     assert report["checks"]["erfc_reference"]["passed"]
 
 
+def test_covariance_routes_negative_control(monkeypatch):
+    # a covariance limit 1e-11 off its quadrature fails both sides
+    check = {check.name: check for check in CHECKS}["covariance_consistency"]
+    monkeypatch.setattr(harness, "covariance_limit", lambda alpha: 1e-11 + specfun.integrate_01(
+        lambda v: specfun.erfcx_real(2 * math.sqrt(v) / alpha), singular_sqrt_at_zero=True, tol=1e-13))
+    for side in ("quick", "full"):
+        passed, detail = run_check(check, side)
+        assert not passed and "worst |contour - quadrature| = 1.00e-11" in detail, detail
+
+
 def test_full_side_fails_on_nan_gap(monkeypatch):
     check = {check.name: check for check in CHECKS}["critical_routes"]
     assert run_check(check, "full")[0]
@@ -358,6 +371,8 @@ def test_full_side_fails_on_nan_gap(monkeypatch):
         ((1.0, 1.0, 1.0), (2.0, 2.0, 0.5)))["gap"]),
     ("exact_covariance", lambda: harness.covariance_gaps(
         n=16, alphas=(1.0, 2.0), fd_alphas=(), limit_tol=1e-8)["gap"]),
+    ("covariance_limit", lambda: harness.covariance_gaps(
+        n=16, alphas=(1.0, 2.0), fd_alphas=(), limit_tol=1e-8)["routes"]),
     ("ell", lambda: harness.ell_origin_gap(alphas=(1.0,), ws=(0.0, 1.0))),
 ])
 def test_measurements_keep_nan(monkeypatch, target, measure):
@@ -509,6 +524,7 @@ def test_cli_config_unknown_key_exits_2(tmp_path, capsys):
     ["limit-cf", "--regime", "critical", "--alpha", "1e-160", "--s", "1", "--t", "1"],
     ["limit-cf", "--regime", "critical", "--alpha", "1", "--s", "1e154", "--t", "-1e154"],
     ["limit-cf", "--regime", "critical", "--alpha", "1", "--s", "1e300", "--t", "1e300"],
+    ["covariance", "--alpha", "1e-320", "--n", "10"],  # alpha below 2**-511
 ])
 def test_cli_missing_or_unparsable_flag_exits_2(argv):
     _assert_usage_error(argv)
@@ -538,18 +554,6 @@ def test_cli_over_budget_exits_2(argv, tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_cli_quadrature_failure_exits_1(monkeypatch, capsys):
-    # a numeric failure, not a usage error: one line on stderr, no traceback;
-    # covariance's limit is the one quadrature a command still runs
-    monkeypatch.setattr(harness, "covariance_limit",
-                        lambda alpha: limits.covariance_limit(alpha, tol=1e-300))
-    assert main(["covariance", "--alpha", "1", "--n", "10"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and "Traceback" not in captured.err
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith("stickywalk covariance: error: quadrature reached")
-
-
 def test_cli_far_critical_angle_prints_a_number(capsys):
     # exp((s^2 + t^2) x / 2) overflowed the quadrature here; the contour forms no such factor
     assert main(["limit-cf", "--regime", "critical", "--alpha", "1", "--s", "40", "--t", "40"]) == 0
@@ -558,7 +562,7 @@ def test_cli_far_critical_angle_prints_a_number(capsys):
 
 def test_sweep_path_never_imports_scipy():
     # scipy is loaded only by the quadratures and erfc; the sweep, the sampler,
-    # the exact engine and the critical limit run without it
+    # the exact engine, the critical limit and run_covariance (by its command) run without it
     code = textwrap.dedent("""
         import contextlib, io, sys
         import stickywalk.cli, stickywalk.harness, stickywalk.limits
@@ -572,7 +576,8 @@ def test_sweep_path_never_imports_scipy():
         with contextlib.redirect_stdout(io.StringIO()):
             for argv in (["exact-cf", "--delta", "2", "--n", "9", "--s", "0.4"],
                          ["limit-cf", "--regime", "critical", "--alpha", "2", "--s", "1", "--t", "1"],
-                         ["sweep", "--regime", "critical", "--alpha", "2", "--n", "16", "--grid=-4,4"]):
+                         ["sweep", "--regime", "critical", "--alpha", "2", "--n", "16", "--grid=-4,4"],
+                         ["covariance", "--alpha", "2", "--n", "16,64"]):
                 assert stickywalk.cli.main(argv) == 0, argv
         print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
     """)

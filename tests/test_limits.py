@@ -308,7 +308,10 @@ def test_covariance_limit_matches_exact_engine():
 
 
 def test_covariance_limit_domain():
-    with pytest.raises(ValueError):
-        covariance_limit(0.0)
-    with pytest.raises(ValueError):
-        covariance_limit(math.inf)
+    # the domain of RegimeSpec and limit_params; 5e-324 once failed inside erfcx
+    for alpha in (0.0, -1.0, math.nan, math.inf, 2.0 ** -512, 5e-324):
+        with pytest.raises(ValueError):
+            covariance_limit(alpha)
+    for alpha in (2.0 ** -511, 1e-100):  # small-alpha asymptote alpha / sqrt(pi)
+        assert covariance_limit(alpha) == pytest.approx(alpha / math.sqrt(math.pi), rel=1e-12)
+    assert abs(covariance_limit(1e300) - 1.0) <= 1e-13
