@@ -75,7 +75,6 @@ __all__ = [
     "critical_route_gap",
     "mc_agreement",
     "worst_relative_error",
-    "ell_origin_gap",
     "sweep_sup_errors",
     "special_function_errors",
 ]
@@ -395,9 +394,11 @@ def ell_transform_gaps(triples) -> dict:
     return {"gap": _worst(gaps), "complex": saw_complex, "degenerate": saw_degenerate}
 
 
-def laplace_limit_errors(regimes, ns, pairs) -> dict[str, np.ndarray]:
+def laplace_limit_errors(regimes, ns, pairs, density_pairs) -> dict:
     """Per regime kind, |empirical Laplace transform at step n - closed-form
-    limit| as an array indexed [(w, lam) pair, n]."""
+    limit| as an array indexed [(w, lam) pair, n]; and ("density") the worst
+    |Laplace transform by quadrature (tol 1e-10) - closed form| of the sub- and
+    supercritical densities over density_pairs."""
     out = {}
     for regime in regimes:
         errs = np.empty((len(pairs), len(ns)))
@@ -409,6 +410,14 @@ def laplace_limit_errors(regimes, ns, pairs) -> dict[str, np.ndarray]:
                     emp *= math.sqrt(n) / delta
                 errs[i, k] = abs(emp - laplace_target(regime, w, lam))
         out[regime.kind] = errs
+    density = []
+    for w, lam in density_pairs:
+        sub = laplace_numeric(lambda x: subcritical_density(w, x), lam,
+                              tol=1e-10, sqrt_singular_at_zero=True)
+        sup = laplace_numeric(lambda x: supercritical_density(w, x), lam, tol=1e-10)
+        density += (abs(sub - 1.0 / math.sqrt(4 * lam + w * w)),
+                    abs(sup - 1.0 / (0.5 * w * w + lam)))
+    out["density"] = _worst(density)
     return out
 
 
@@ -468,12 +477,6 @@ def worst_relative_error(fn, table) -> float:
     return _worst(abs(fn(x) - want) / abs(want) for x, want in table)
 
 
-def ell_origin_gap(alphas, ws) -> float:
-    """Worst |ell(0) - 1| over alphas x (ws plus the degenerate seam w = 2/alpha)."""
-    return _worst(abs(ell(limit_params(alpha, w), 0.0) - 1.0)
-                  for alpha in alphas for w in (*ws, 2.0 / alpha))
-
-
 def sweep_sup_errors(regimes, ns, axis) -> dict[str, list[float]]:
     """Per regime, the sup over the axis x axis grid of run_sweep's
     |f_exact - f_limit| at each n; a row that failed raises its error."""
@@ -489,12 +492,33 @@ def sweep_sup_errors(regimes, ns, axis) -> dict[str, list[float]]:
     return out
 
 
-def special_function_errors(alphas, ws) -> dict:
+def special_function_errors(alphas, ws, xs, zs) -> dict:
     """Worst relative error of erfc_real and erfcx_complex against their frozen
-    tables, and ell_origin_gap."""
-    return {"erfc": worst_relative_error(erfc_real, specfun.ERFC_TABLE),
-            "strip": worst_relative_error(erfcx_complex, specfun.ERFCX_STRIP_TABLE),
-            "origin": ell_origin_gap(alphas, ws)}
+    tables, of erfcx's conjugation symmetry over zs and of erfcx_complex on the
+    real axis over xs (relative to max(1, |value|)); worst |erfcx(x) e^(-x^2) -
+    erfc(x)| over xs; worst |ell(0) - 1| over alphas x (ws plus the degenerate
+    seam w = 2/alpha), where ell must also stay real at x = 3.7; and ell's
+    jump at x = 0.8 across the seam w = 2 at alpha = 1."""
+    conjugation = worst_relative_error(lambda z: erfcx_complex(z.conjugate()),
+                                       [(z, erfcx_complex(z).conjugate()) for z in zs])
+    real_axis = []
+    for x in xs:
+        z = erfcx_complex(complex(x, 0.0))
+        real_axis.append(abs(z - erfcx_real(x)) / max(1.0, abs(z)))
+    params = [limit_params(alpha, w) for alpha in alphas for w in (*ws, 2.0 / alpha)]
+    origin = _worst(abs(ell(p, 0.0) - 1.0) for p in params)
+    for p in params:
+        ell(p, 3.7)  # raises past the realness budget
+    seam = ell(limit_params(1.0, 2.0), 0.8)
+    return {
+        "erfc": worst_relative_error(erfc_real, specfun.ERFC_TABLE),
+        "strip": worst_relative_error(erfcx_complex, specfun.ERFCX_STRIP_TABLE),
+        "scaling": _worst(abs(erfcx_real(x) * math.exp(-x * x) - erfc_real(x)) for x in xs),
+        "real_axis": _worst(real_axis),
+        "conjugation": conjugation,
+        "origin": origin,
+        "seam": _worst(abs(ell(limit_params(1.0, 2.0 + eps), 0.8) - seam) for eps in (1e-6, -1e-6)),
+    }
 
 
 # measurements of invariants that only the self-test runs
@@ -542,48 +566,6 @@ def _normalization_symmetry(deltas) -> dict:
     return {key: _worst(values) for key, values in out.items()}
 
 
-def _erfc_reference(xs, zs) -> dict:
-    table = specfun.ERFC_TABLE  # looked up per call, so a patched table is seen
-    scaling, real_axis = [], []
-    for x in xs:
-        scaling.append(abs(erfcx_real(x) * math.exp(-x * x) - erfc_real(x)))
-        z = erfcx_complex(complex(x, 0.0))
-        real_axis.append(abs(z - erfcx_real(x)) / max(1.0, abs(z)))
-    conjugation = []
-    for z in zs:
-        a = erfcx_complex(z).conjugate()
-        conjugation.append(abs(a - erfcx_complex(z.conjugate())) / abs(a))
-    return {"rows": len(table), "table": worst_relative_error(erfc_real, table),
-            "scaling": _worst(scaling), "real_axis": _worst(real_axis),
-            "conjugation": _worst(conjugation)}
-
-
-def _ell_profile(alphas, ws) -> dict:
-    for alpha in alphas:
-        for w in (*ws, 2.0 / alpha):
-            ell(limit_params(alpha, w), 3.7)  # raises past the realness budget
-    seam = ell(limit_params(1.0, 2.0), 0.8)
-    return {
-        "origin": ell_origin_gap(alphas, ws),
-        "seam": _worst(abs(ell(limit_params(1.0, 2.0 + eps), 0.8) - seam) for eps in (1e-6, -1e-6)),
-    }
-
-
-def _laplace_consistency(triples, density_pairs, regimes, n, limit_pairs) -> dict:
-    density = []
-    for w, lam in density_pairs:
-        sub = laplace_numeric(lambda x: subcritical_density(w, x), lam,
-                              tol=1e-10, sqrt_singular_at_zero=True)
-        sup = laplace_numeric(lambda x: supercritical_density(w, x), lam, tol=1e-10)
-        density += (abs(sub - 1.0 / math.sqrt(4 * lam + w * w)), abs(sup - 1.0 / (0.5 * w * w + lam)))
-    limits = laplace_limit_errors(regimes, (n,), limit_pairs)
-    return {
-        "ell_transform": ell_transform_gaps(triples)["gap"],
-        "density": _worst(density),
-        "limits": _worst(float(errs.max()) for errs in limits.values()),
-    }
-
-
 def _quadrature_order(tols) -> dict:
     integrands = (
         (math.exp, math.e - 1.0, False),
@@ -606,6 +588,9 @@ class Check(NamedTuple):
     ``verdict(measured, **tol)`` returns (passed, detail).  ``quick`` (run by
     the self-test) and ``full`` (run by the acceptance suite) are each
     (measurement kwargs, tol kwargs), or None where that run has no such check.
+    Four entries are quick-only invariants (kernel_unit, kernel_statistics,
+    normalization_symmetry, quadrature_order); every other quick side is the
+    quick run of an entry the acceptance suite runs in full.
     """
 
     name: str
@@ -617,11 +602,14 @@ class Check(NamedTuple):
 
 def _laplace_limits(m, tol):
     # m[kind][pair, n]: each pair's error falls with n, and is <= tol at the last n
-    ok = all(errs[:, -1].max() <= tol and np.all(np.diff(errs, axis=1) < 0.0)
-             for errs in m.values())
+    limits = {kind: errs for kind, errs in m.items() if kind != "density"}
+    ok = m["density"] < 1e-8 and all(errs[:, -1].max() <= tol
+                                     and np.all(np.diff(errs, axis=1) < 0.0)
+                                     for errs in limits.values())
     return ok, ("; ".join(f"{kind}: " + " -> ".join(f"{v:.4f}" for v in errs.max(axis=0))
-                          for kind, errs in m.items())
-                + f" (tol {tol:g} at the largest n, decreasing)")
+                          for kind, errs in limits.items())
+                + f" (tol {tol:g} at the largest n, decreasing); "
+                f"density identities {m['density']:.2e} (tol 1e-08)")
 
 
 def _sweep_convergence(m, tol):
@@ -640,6 +628,9 @@ _LAPLACE_REGIMES = (RegimeSpec.subcritical(coeff=2.0), RegimeSpec.critical(2.0),
 # delta = 0, so u = 1: one step at s = t = pi/2 tells the two couplings apart
 _U1_POINT = (dict(delta=0.0, s=math.pi / 2, t=math.pi / 2, n=1), dict(tol=1e-12))
 _NS = (256, 1024, 4096)
+_ERFCX_POINTS = dict(xs=tuple(np.linspace(0.0, 5.0, 21)), zs=(1 + 2j, -0.5 + 3j, 4 - 1j))
+_SPECIAL_TOL = dict(erfc_tol=1e-13, strip_tol=1e-8, origin_tol=1e-8)
+_LAPLACE_PAIRS = tuple(itertools.product((0.0, 1.0, 2.0), (0.5, 1.0, 2.0)))
 
 CHECKS: tuple[Check, ...] = (
     Check("kernel_unit", _kernel_unit,
@@ -683,39 +674,30 @@ CHECKS: tuple[Check, ...] = (
           (dict(deltas=(0.5, 3.0), zs=(0.3, 0.6, 0.9), ts=(0.0, 0.5, 2.0), js=(0, 1, 2, 5)), {}),
           (dict(deltas=(0.5, 1.0, 5.0), zs=(0.3, 0.6, 0.9), ts=(0.0, 0.5, 2.0),
                 js=(0, 1, 2, 5)), {})),
-    Check("erfc_reference", _erfc_reference,
-          lambda m: (m["table"] <= 1e-13 and m["scaling"] < 1e-12 and m["real_axis"] < 1e-10
-                     and m["conjugation"] <= 1e-10,
-                     f"{m['rows']}-point reference table, scaling identity, conjugation"),
-          (dict(xs=np.linspace(0.0, 5.0, 21), zs=(1 + 2j, -0.5 + 3j, 4 - 1j)), {})),
     Check("special_functions", special_function_errors,
           lambda m, erfc_tol, strip_tol, origin_tol: (
-              m["erfc"] <= erfc_tol and m["strip"] <= strip_tol and m["origin"] <= origin_tol,
+              m["erfc"] <= erfc_tol and m["strip"] <= strip_tol and m["origin"] < origin_tol
+              and m["scaling"] < 1e-12 and m["real_axis"] < 1e-10 and m["conjugation"] <= 1e-10
+              and m["seam"] < 1e-4,
               f"erfc rel err {m['erfc']:.2e} (tol {erfc_tol:g}); erfcx strip rel err "
               f"{m['strip']:.2e} (tol {strip_tol:g}); "
-              f"|ell(0) - 1| {m['origin']:.2e} (tol {origin_tol:g})"),
-          full=(dict(alphas=(0.5, 1.0, 2.0, 8.0), ws=(0.0, 1.0, 2.0, 4.0)),
-                dict(erfc_tol=1e-13, strip_tol=1e-8, origin_tol=1e-8))),
-    Check("ell_profile", _ell_profile,
-          lambda m: (m["origin"] < 1e-8 and m["seam"] < 1e-4,
-                     "ell(0)=1 grid, degenerate seam continuity"),
-          (dict(alphas=(0.5, 1.0, 2.0), ws=(0.0, 1.0, 2.0, 4.0)), {})),
+              f"|ell(0) - 1| {m['origin']:.2e} (tol {origin_tol:g}); erfcx scaling, "
+              "real axis and conjugation; ell real at x = 3.7 and continuous across the seam"),
+          (dict(alphas=(0.5, 1.0, 2.0), ws=(0.0, 1.0, 2.0, 4.0), **_ERFCX_POINTS), _SPECIAL_TOL),
+          (dict(alphas=(0.5, 1.0, 2.0, 8.0), ws=(0.0, 1.0, 2.0, 4.0), **_ERFCX_POINTS),
+           _SPECIAL_TOL)),
     Check("ell_transform", ell_transform_gaps,
-          lambda m, tol: (m["gap"] <= tol and m["complex"] and m["degenerate"],
+          lambda m, tol: (m["gap"] < tol and m["complex"] and m["degenerate"],
                           f"worst |quad - closed form| = {m['gap']:.2e} (tol {tol:g}; "
                           f"complex branch: {m['complex']}, degenerate: {m['degenerate']})"),
-          full=(dict(triples=tuple(itertools.product((0.5, 1.0, 2.0), (0.0, 1.0, 2.0),
-                                                     (0.5, 1.0, 2.0)))), dict(tol=1e-6))),
-    Check("laplace_consistency", _laplace_consistency,
-          lambda m: (m["ell_transform"] < 1e-6 and m["density"] < 1e-8 and m["limits"] <= 1e-2,
-                     "ell transform == critical target; density identities; closed-form limits"),
-          (dict(triples=((1.0, 1.0, 1.0), (2.0, 2.0, 0.5), (1.0, 2.0, 1.0)),
-                density_pairs=((0.0, 1.0), (2.0, 0.5)), regimes=_LAPLACE_REGIMES,
-                n=10 ** 8, limit_pairs=((0.0, 0.5), (2.0, 2.0))), {})),
+          (dict(triples=((1.0, 1.0, 1.0), (2.0, 2.0, 0.5), (1.0, 2.0, 1.0))), dict(tol=1e-6)),
+          (dict(triples=tuple(itertools.product((0.5, 1.0, 2.0), (0.0, 1.0, 2.0),
+                                                (0.5, 1.0, 2.0)))), dict(tol=1e-6))),
     Check("laplace_limits", laplace_limit_errors, _laplace_limits,
-          full=(dict(regimes=_LAPLACE_REGIMES, ns=(10 ** 4, 10 ** 8),
-                     pairs=tuple(itertools.product((0.0, 1.0, 2.0), (0.5, 1.0, 2.0)))),
-                dict(tol=1e-2))),
+          (dict(regimes=_LAPLACE_REGIMES, ns=(10 ** 4, 10 ** 8), pairs=((0.0, 0.5), (2.0, 2.0)),
+                density_pairs=((0.0, 1.0), (2.0, 0.5))), dict(tol=1e-2)),
+          (dict(regimes=_LAPLACE_REGIMES, ns=(10 ** 4, 10 ** 8), pairs=_LAPLACE_PAIRS,
+                density_pairs=_LAPLACE_PAIRS), dict(tol=1e-2))),
     Check("quadrature_order", _quadrature_order,
           lambda m: (m["worst_rise"] <= 1e-15, "error nonincreasing as tol halves"),
           (dict(tols=(1e-4, 5e-5, 2.5e-5, 1.25e-5)), {})),
@@ -741,9 +723,10 @@ CHECKS: tuple[Check, ...] = (
                 limit_tol=1e-12), dict(gap_tol=2e-2, fd_tol=1e-4, route_tol=1e-12))),
     Check("mc_agreement", mc_agreement,
           lambda m, min_fraction: (
-              m["within"] / m["points"] >= min_fraction,
+              m["within"] / m["points"] >= min_fraction and m["off_parity"] == 0,
               f"{m['within']}/{m['points']} grid points within k_sigma stderr "
-              f"({m['within'] / m['points']:.1%}, need {min_fraction:.0%})"),
+              f"({m['within'] / m['points']:.1%}, need {min_fraction:.0%}); "
+              f"{m['off_parity']} endpoints off parity"),
           (dict(delta=2.0 * math.sqrt(256), n=256, paths=20000, seed=20250809,
                 axis=(-1.0, 0.5, 2.0), k_sigma=5.0), dict(min_fraction=1.0)),
           (dict(delta=2.0 * math.sqrt(1024), n=1024, paths=10 ** 5, seed=20250809,
@@ -766,7 +749,9 @@ def run_check(check: Check, side: str) -> tuple[bool, str]:
 
 
 def run_selftest() -> dict:
-    """Run the quick side of every check that has one, in table order.
+    """Run the quick side of every check that has one, in table order: the
+    four quick-only invariants, and the quick side of every acceptance entry
+    but the two full-only sweep convergence checks.
 
     Returns a JSON-ready summary; "passed" is the overall verdict.  Checks
     that depend on the coupling variant run both variants.

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -314,8 +315,8 @@ def test_selftest_passes_for_both_couplings():
     # perfbench's selftest work_per_s counts these checks, so their number is pinned
     assert list(report["checks"]) == [
         "kernel_unit", "kernel_statistics", "oracle_equivalence", "variant_discrimination",
-        "variant_asymptotics", "normalization_symmetry", "gf_identity", "erfc_reference",
-        "ell_profile", "laplace_consistency", "quadrature_order", "critical_routes",
+        "variant_asymptotics", "normalization_symmetry", "gf_identity", "special_functions",
+        "ell_transform", "laplace_limits", "quadrature_order", "critical_routes",
         "covariance_consistency", "mc_agreement"]
 
 
@@ -324,6 +325,10 @@ def test_check_table_shape():
     assert len(set(names)) == len(names)
     for check in CHECKS:
         assert check.quick is not None or check.full is not None, check.name
+    # a quick-only row is an invariant no acceptance entry measures; a quick
+    # slice of a measurement that has a full run belongs on that entry
+    assert {check.name for check in CHECKS if check.full is None} == {
+        "kernel_unit", "kernel_statistics", "normalization_symmetry", "quadrature_order"}
 
 
 def test_selftest_negative_control(monkeypatch):
@@ -333,7 +338,7 @@ def test_selftest_negative_control(monkeypatch):
     monkeypatch.setattr(specfun, "ERFC_TABLE", tuple(corrupted))
     report = run_selftest()
     assert not report["passed"]
-    assert not report["checks"]["erfc_reference"]["passed"]
+    assert not report["checks"]["special_functions"]["passed"]
     # unrelated suites stay green
     assert report["checks"]["gf_identity"]["passed"]
 
@@ -343,7 +348,7 @@ def test_selftest_fails_on_nan_gap(monkeypatch):
     report = run_selftest()
     assert not report["passed"]
     assert not report["checks"]["gf_identity"]["passed"]
-    assert report["checks"]["erfc_reference"]["passed"]
+    assert report["checks"]["special_functions"]["passed"]
 
 
 def test_covariance_routes_negative_control(monkeypatch):
@@ -354,6 +359,22 @@ def test_covariance_routes_negative_control(monkeypatch):
     for side in ("quick", "full"):
         passed, detail = run_check(check, side)
         assert not passed and "worst |contour - quadrature| = 1.00e-11" in detail, detail
+
+
+def test_mc_agreement_parity_negative_control(monkeypatch):
+    # one endpoint moved by 1 has the wrong parity, and fails mc_agreement
+    check = {check.name: check for check in CHECKS}["mc_agreement"]
+    real = harness.simulate_endpoints
+
+    def shifted(*args, **kwargs):
+        sample = real(*args, **kwargs)
+        x = sample.x.copy()
+        x[0] += 1
+        return dataclasses.replace(sample, x=x)
+
+    monkeypatch.setattr(harness, "simulate_endpoints", shifted)
+    passed, detail = run_check(check, "quick")
+    assert not passed and "1 endpoints off parity" in detail, detail
 
 
 def test_full_side_fails_on_nan_gap(monkeypatch):
@@ -373,7 +394,12 @@ def test_full_side_fails_on_nan_gap(monkeypatch):
         n=16, alphas=(1.0, 2.0), fd_alphas=(), limit_tol=1e-8)["gap"]),
     ("covariance_limit", lambda: harness.covariance_gaps(
         n=16, alphas=(1.0, 2.0), fd_alphas=(), limit_tol=1e-8)["routes"]),
-    ("ell", lambda: harness.ell_origin_gap(alphas=(1.0,), ws=(0.0, 1.0))),
+    ("ell", lambda: harness.special_function_errors(
+        alphas=(1.0,), ws=(0.0, 1.0), xs=(), zs=())["origin"]),
+    ("laplace_numeric", lambda: harness.laplace_limit_errors(
+        regimes=(), ns=(), pairs=(), density_pairs=((0.0, 1.0), (2.0, 0.5)))["density"]),
+    ("erfcx_complex", lambda: harness.special_function_errors(
+        alphas=(), ws=(), xs=(), zs=(1 + 2j, -0.5 + 3j))["conjugation"]),
 ])
 def test_measurements_keep_nan(monkeypatch, target, measure):
     # a NaN from any one point must survive the worst-value reduction (the
