@@ -27,9 +27,9 @@ reader can see how far the repeats of one run spread:
 - ``limit_cf grid``: the 36 critical limits of one default-grid sweep at
   alpha = 2, each inverted on the 33-node contour;
 - ``phi_critical grid``: the same 36 points by the quadrature route, at its
-  default tolerance, after one untimed call has loaded scipy;
+  default tolerance;
 - ``import stickywalk.cli``: a fresh interpreter that imports the CLI and
-  exits, the set-up every command pays (scipy is not loaded);
+  exits, the set-up every command pays;
 - ``stickywalk selftest``, ``stickywalk covariance`` and ``stickywalk sweep``:
   whole commands, each in a fresh interpreter with its output discarded: the
   self-test, ``covariance --alpha 2`` at its default n = 100, 1000, 10000,
@@ -152,7 +152,6 @@ def limit_rows(repeats: int) -> dict[str, list[float]]:
     from stickywalk.limits import RegimeSpec, limit_cf, phi_critical
 
     critical, grid = RegimeSpec.critical(2.0), default_grid()
-    phi_critical(2.0, 1.0, 1.0)  # scipy loads on the first quadrature, outside the timing
     return {
         "limit_cf grid alpha=2": times_s(
             lambda: [limit_cf(critical, s, t) for s, t in grid], repeats),
@@ -182,7 +181,6 @@ GROUPS = (sampler_rows, h_rows, enumeration_rows, limit_rows, fresh_interpreter_
 
 def measure(repeats: int) -> dict:
     import numpy as np
-    import scipy
 
     rows = {}
     spawn = multiprocessing.get_context("spawn")
@@ -194,7 +192,7 @@ def measure(repeats: int) -> dict:
             rows.update(pool.submit(group, repeats).result())
     return {
         "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                "numpy": np.__version__, "scipy": scipy.__version__},
+                "numpy": np.__version__},
         "repeats": repeats,
         **summarise(rows),
     }

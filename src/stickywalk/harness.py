@@ -412,8 +412,7 @@ def laplace_limit_errors(regimes, ns, pairs, density_pairs) -> dict:
         out[regime.kind] = errs
     density = []
     for w, lam in density_pairs:
-        sub = laplace_numeric(lambda x: subcritical_density(w, x), lam,
-                              tol=1e-10, sqrt_singular_at_zero=True)
+        sub = laplace_numeric(lambda x: subcritical_density(w, x), lam, tol=1e-10)
         sup = laplace_numeric(lambda x: supercritical_density(w, x), lam, tol=1e-10)
         density += (abs(sub - 1.0 / math.sqrt(4 * lam + w * w)),
                     abs(sup - 1.0 / (0.5 * w * w + lam)))
@@ -431,7 +430,7 @@ def covariance_gaps(n: int, alphas, fd_alphas, limit_tol: float) -> dict:
         limit = covariance_limit(alpha)
         gaps.append(abs(exact_covariance(StickinessParam(alpha * math.sqrt(n)), n) / n - limit))
         routes.append(abs(limit - integrate_01(lambda v: erfcx_real(2.0 * math.sqrt(v) / alpha),
-                                               singular_sqrt_at_zero=True, tol=limit_tol)))
+                                               tol=limit_tol)))
         if alpha in fd_alphas:
             fd = (phi_critical(alpha, h, h, tol=1e-12) - phi_critical(alpha, h, -h, tol=1e-12)
                   - phi_critical(alpha, -h, h, tol=1e-12)
@@ -567,13 +566,9 @@ def _normalization_symmetry(deltas) -> dict:
 
 
 def _quadrature_order(tols) -> dict:
-    integrands = (
-        (math.exp, math.e - 1.0, False),
-        (lambda x: 1.0 / math.sqrt(x) if x > 0 else 0.0, 2.0, True),
-    )
     rises = []
-    for f, want, flag in integrands:
-        errs = [abs(integrate_01(f, singular_sqrt_at_zero=flag, tol=tol) - want) for tol in tols]
+    for f, want in ((math.exp, math.e - 1.0), (lambda x: 1.0 / math.sqrt(x), 2.0)):
+        errs = [abs(integrate_01(f, tol=tol) - want) for tol in tols]
         rises += (b - a for a, b in zip(errs, errs[1:]))
     return {"worst_rise": _worst(rises, floor=-math.inf)}
 

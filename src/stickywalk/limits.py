@@ -8,8 +8,9 @@ transform picks up an integral of the occupation profile ell_{alpha,w}.
 
 The critical limit_cf and covariance_limit invert Laplace transforms built on
 the paper's critical target G on a fixed 33-node contour (absolute error about
-1e-13, no quadrature, no scipy).  Quadratures are the checks: phi_critical
-integrates ell, and the harness integrates erfcx for the covariance limit.
+1e-13, no quadrature).  Quadratures are the checks: phi_critical integrates
+ell, and the harness integrates erfcx for the covariance limit, both by
+specfun's tanh-sinh rule, which needs no substitution for ell's sqrt(x) cusp.
 
 ell is assembled from erfcx with parameters b1 = -2/alpha + 2*gamma and
 b2 = -2/alpha - 2*gamma, gamma = sqrt(alpha^-2 - w^2/4) (taken with positive
@@ -223,13 +224,13 @@ def phi_critical(alpha: float, s: float, t: float, tol: float = 1e-10) -> float:
 
     theta = (s^2 + t^2) / 2.  The weight exp(theta (x - 1)) is at most 1, so
     nothing overflows for finite theta.  Up to theta = L = max(1, log(4/tol))
-    the integral runs through x = y^2, which absorbs the sqrt(x) cusp of ell
-    at 0.  Above L the weight is a boundary layer of width 1/theta at x = 1,
-    so the integral runs in v = theta (1 - x) over [0, L] instead, to
-    3 tol / (4 L) on the unit interval: 0 <= ell <= 1 and |t s| <= theta, so
-    the dropped tail is at most exp(-L) <= tol / 4.  Raises ValueError where
-    theta overflows or tol is not finite and > 0, and QuadratureError where
-    tol is missed.
+    the integral runs over x itself: the tanh-sinh nodes crowd x = 0, where
+    ell has its sqrt(x) cusp.  Above L the weight is a boundary layer of
+    width 1/theta at x = 1, so the integral runs in v = theta (1 - x) over
+    [0, L] instead, to 3 tol / (4 L) on the unit interval: 0 <= ell <= 1 and
+    |t s| <= theta, so the dropped tail is at most exp(-L) <= tol / 4.
+    Raises ValueError where theta overflows or tol is not finite and > 0,
+    and QuadratureError where tol is missed.
     """
     params = limit_params(alpha, s + t)  # checks alpha on the shortcut too
     theta = _theta(s, t)
@@ -239,8 +240,7 @@ def phi_critical(alpha: float, s: float, t: float, tol: float = 1e-10) -> float:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     layer = max(1.0, math.log(4.0 / tol))
     if theta <= layer:
-        weighted = integrate_01(lambda x: math.exp(theta * (x - 1.0)) * ell(params, x),
-                                singular_sqrt_at_zero=True, tol=tol)
+        weighted = integrate_01(lambda x: math.exp(theta * (x - 1.0)) * ell(params, x), tol=tol)
     else:
         weighted = layer / theta * integrate_01(
             lambda y: math.exp(-layer * y) * ell(params, 1.0 - layer * y / theta),
@@ -293,14 +293,10 @@ def covariance_limit(alpha: float) -> float:
     return inverse_laplace_at_1(lambda lam: _critical_target(lam, 0.0, alpha) / lam)
 
 
-def laplace_numeric(
-    f: Callable[[float], float],
-    lam: float,
-    tol: float = 1e-9,
-    sqrt_singular_at_zero: bool = False,
-) -> float:
+def laplace_numeric(f: Callable[[float], float], lam: float, tol: float = 1e-9) -> float:
     """integral_0^inf exp(-lam x) f(x) dx by quadrature, truncated where
-    exp(-lam x) < 1e-12 (f is assumed bounded by ~1 in the tail)."""
+    exp(-lam x) < 1e-12 (f is assumed bounded by ~1 in the tail); an
+    x^(-1/2) singularity or a sqrt(x) cusp at 0 needs no substitution."""
     if not (lam > 0.0):
         raise ValueError("lam must be > 0")
     x_star = _TRUNC_LOG / lam
@@ -309,22 +305,20 @@ def laplace_numeric(
         x = x_star * v
         return x_star * math.exp(-lam * x) * f(x)
 
-    return integrate_01(rescaled, singular_sqrt_at_zero=sqrt_singular_at_zero, tol=tol)
+    return integrate_01(rescaled, tol=tol)
 
 
 def ell_laplace_numeric(alpha: float, w: float, lam: float, tol: float = 1e-9) -> float:
     """Numerical Laplace transform of ell_{alpha,w}; the closed-form answer is
-    the critical laplace_target.  The x = y^2 substitution absorbs the
-    sqrt(x) cusp of ell at the origin."""
+    the critical laplace_target."""
     params = limit_params(alpha, w)
-    return laplace_numeric(lambda x: ell(params, x), lam, tol=tol, sqrt_singular_at_zero=True)
+    return laplace_numeric(lambda x: ell(params, x), lam, tol=tol)
 
 
 def subcritical_density(w: float, x: float) -> float:
     """Density on (0, inf) whose Laplace transform is 1 / sqrt(4 lam + w^2):
 
-    exp(-w^2 x / 4) / (2 sqrt(pi x)).  Carries a 1/sqrt(x) endpoint
-    singularity, so quadratures against it want the x = y^2 substitution.
+    exp(-w^2 x / 4) / (2 sqrt(pi x)), with a 1/sqrt(x) endpoint singularity.
     """
     if not (x > 0.0):
         raise ValueError("x must be > 0")

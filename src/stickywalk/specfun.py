@@ -1,19 +1,19 @@
-"""Error-function family, deterministic adaptive quadrature on [0, 1], and
-Laplace inversion on a fixed contour.
+"""Error-function family, tanh-sinh quadrature on [0, 1], and Laplace
+inversion on a fixed contour, from numpy and the standard library.
 
 The scaled form erfcx(z) = exp(z^2) erfc(z) is the workhorse: every
 exp(b^2 x / 4) * erfc(-(b/2) sqrt(x)) product downstream is a single erfcx
 evaluation, which stays finite where the separate factors overflow and
-underflow.  The complex case routes through the Faddeeva function
-w(z) = exp(-z^2) erfc(-iz), for which erfcx(z) = w(iz).
-
-scipy is imported inside the four functions that use it, not with this
-module, so a caller that only inverts on the contour never loads it.
+underflow.  On Re z >= 0 it is Weideman's rational approximation of the
+Faddeeva function w(z) = exp(-z^2) erfc(-iz) at iz (SIAM J. Numer. Anal. 31,
+1994), relative error about 1e-14; the left half-plane follows from
+erfcx(z) = 2 exp(z^2) - erfcx(-z).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Callable
 
@@ -145,64 +145,98 @@ ERFCX_STRIP_TABLE = (
 )
 
 
+@functools.cache  # on first use, not at import: a sweep never evaluates erfcx
+def _weideman_coefficients() -> tuple[float, list[float]]:
+    """L and p, highest degree first, in Weideman's w(z) = 2 p(Z) / (L - iz)^2 +
+    1 / (sqrt(pi) (L - iz)), Z = (L + iz) / (L - iz), Im z >= 0: L = sqrt(N / sqrt(2))
+    and the cosine transform of exp(-t^2) (L^2 + t^2), t = L tan(theta / 2), on 4N
+    points.  N = 48 reaches a relative error of about 1e-14, N = 32 only 1e-13."""
+    N = 48
+    L = math.sqrt(N / math.sqrt(2.0))
+    theta = np.arange(1 - 2 * N, 2 * N) * (math.pi / (2 * N))
+    t = L * np.tan(0.5 * theta)
+    f = np.exp(-t * t) * (L * L + t * t)
+    return L, (np.cos(np.outer(np.arange(N, 0, -1), theta)) @ f / (4 * N)).tolist()
+
+
+def _erfcx_right(z):
+    """erfcx(z) = w(iz) for Re z >= 0 (float or complex), by Weideman's rule."""
+    L, coeffs = _weideman_coefficients()
+    s = L + z
+    big_z = (L - z) / s
+    p = 0.0
+    for a in coeffs:
+        p = p * big_z + a
+    return (2.0 * p / s + 1.0 / math.sqrt(math.pi)) / s
+
+
 def erfc_real(x: float) -> float:
     """erfc(x) = 1 - (2/sqrt(pi)) * integral_0^x exp(-y^2) dy."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
-    from scipy import special
-
-    return float(special.erfc(x))
+    return math.erfc(x)
 
 
 def erfcx_real(x: float) -> float:
-    """exp(x^2) erfc(x), overflow-free for x >= 0; ~ 1/(x sqrt(pi)) as x -> inf."""
+    """exp(x^2) erfc(x), overflow-free for x >= 0; ~ 1/(x sqrt(pi)) as x -> inf.
+
+    Below x = 0.5 the product loses nothing (and erfcx(0) is 1 exactly); it is
+    inf where exp(x^2) passes the largest double."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
-    from scipy import special
-
-    return float(special.erfcx(x))
+    if x >= 0.5:
+        return _erfcx_right(x)
+    try:
+        return math.exp(x * x) * math.erfc(x)
+    except OverflowError:
+        return math.inf
 
 
 def erfcx_complex(z: complex) -> complex:
-    """exp(z^2) erfc(z) for complex z, via the Faddeeva function w(iz)."""
+    """exp(z^2) erfc(z) for complex z; infinite parts where exp(z^2) overflows."""
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
-    from scipy import special
+    if z.real >= 0.0:
+        return _erfcx_right(z)
+    with np.errstate(over="ignore"):  # C99 cexp: inf times the signs of cos and sin
+        e = complex(np.exp(z * z))
+    return e + e - _erfcx_right(-z)
 
-    return complex(special.wofz(1j * z))
 
+def integrate_01(f: Callable[[float], float], tol: float = 1e-10) -> float:
+    """Tanh-sinh quadrature of f over [0, 1] (Takahasi and Mori, 1974).
 
-def integrate_01(
-    f: Callable[[float], float],
-    singular_sqrt_at_zero: bool = False,
-    tol: float = 1e-10,
-) -> float:
-    """Adaptive quadrature of f over [0, 1] to absolute error <= tol.
-
-    With ``singular_sqrt_at_zero`` the integral is rewritten through x = y^2
-    first, which turns a 1/sqrt(x) endpoint singularity (or a sqrt(x) cusp)
-    into a smooth integrand.  Deterministic; raises QuadratureError with the
-    achieved error estimate if that estimate is not within tol (NaN included).
+    x = 1 / (1 + exp(-pi sinh t)) on |t| <= 4.5, trapezoidal in t from step
+    1/2, halved at most 8 times until two levels agree within tol.  The nodes
+    crowd both ends doubly exponentially, the one nearest 0 at about 5e-62,
+    so an x^(-1/2) singularity or a sqrt(x) cusp at 0 needs no substitution
+    (nodes near 1 round to 1.0, so f must be finite there).  Raises
+    QuadratureError with the last gap as its estimate where that gap is not
+    within tol (NaN included).
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    from scipy import integrate
 
-    if singular_sqrt_at_zero:
-        g = lambda y: 2.0 * y * f(y * y)
-    else:
-        g = f
-    result = integrate.quad(g, 0.0, 1.0, epsabs=0.25 * tol, epsrel=0.0, limit=200, full_output=1)
-    value, estimate = result[0], result[1]
-    if not estimate <= tol:  # a NaN estimate fails too
-        raise QuadratureError(
-            f"quadrature reached error estimate {estimate:.3e} > tol {tol:.3e}",
-            estimate=estimate,
-        )
-    return float(value)
+    def pairs(ts) -> float:  # sum of dx/dt (f(x(t)) + f(x(-t))) over ts
+        total = 0.0
+        for t in ts:
+            e = math.exp(-math.pi * math.sinh(t))
+            x = e / (1.0 + e)  # x(-t), and x(t) = 1 / (1 + e); dx/dt = pi cosh(t) x (1 - x)
+            total += math.pi * math.cosh(t) * x / (1.0 + e) * (f(x) + f(1.0 / (1.0 + e)))
+        return total
+
+    h, inner, value = 1.0, 0.25 * math.pi * f(0.5), math.nan
+    for level in range(9):  # each level adds the odd multiples of the halved step
+        h *= 0.5
+        inner += pairs(h * k for k in range(1, 9 * 2 ** level + 1, 2 if level else 1))
+        value, estimate = h * inner, abs(h * inner - value)
+        if estimate <= tol:
+            return value
+    raise QuadratureError(f"quadrature reached error estimate {estimate:.3e} > tol {tol:.3e}",
+                          estimate=estimate)
 
 
 def _hyperbolic_contour(N: int) -> tuple[np.ndarray, np.ndarray]:

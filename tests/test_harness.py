@@ -355,7 +355,7 @@ def test_covariance_routes_negative_control(monkeypatch):
     # a covariance limit 1e-11 off its quadrature fails both sides
     check = {check.name: check for check in CHECKS}["covariance_consistency"]
     monkeypatch.setattr(harness, "covariance_limit", lambda alpha: 1e-11 + specfun.integrate_01(
-        lambda v: specfun.erfcx_real(2 * math.sqrt(v) / alpha), singular_sqrt_at_zero=True, tol=1e-13))
+        lambda v: specfun.erfcx_real(2 * math.sqrt(v) / alpha), tol=1e-13))
     for side in ("quick", "full"):
         passed, detail = run_check(check, side)
         assert not passed and "worst |contour - quadrature| = 1.00e-11" in detail, detail
@@ -403,11 +403,12 @@ def test_full_side_fails_on_nan_gap(monkeypatch):
 ])
 def test_measurements_keep_nan(monkeypatch, target, measure):
     # a NaN from any one point must survive the worst-value reduction (the
-    # built-in max would drop it), so that a tolerance verdict fails
+    # built-in max would drop it), so that a tolerance verdict fails; every
+    # call after the first returns NaN, so the order of calls does not matter
     calls = iter(range(10 ** 6))
     real = getattr(harness, target)
     monkeypatch.setattr(harness, target,
-                        lambda *a, **k: math.nan if next(calls) == 1 else real(*a, **k))
+                        lambda *a, **k: real(*a, **k) if next(calls) == 0 else math.nan)
     assert math.isnan(measure())
 
 
@@ -586,9 +587,9 @@ def test_cli_far_critical_angle_prints_a_number(capsys):
     assert abs(float(capsys.readouterr().out)) <= 1e-13
 
 
-def test_sweep_path_never_imports_scipy():
-    # scipy is loaded only by the quadratures and erfc; the sweep, the sampler,
-    # the exact engine, the critical limit and run_covariance (by its command) run without it
+def test_sweep_path_never_imports_scipy(tmp_path):
+    # no command imports scipy: the library calls of the sweep, the sampler and
+    # the critical limit, and every command, the self-test's quadratures included
     code = textwrap.dedent("""
         import contextlib, io, sys
         import stickywalk.cli, stickywalk.harness, stickywalk.limits
@@ -603,13 +604,16 @@ def test_sweep_path_never_imports_scipy():
             for argv in (["exact-cf", "--delta", "2", "--n", "9", "--s", "0.4"],
                          ["limit-cf", "--regime", "critical", "--alpha", "2", "--s", "1", "--t", "1"],
                          ["sweep", "--regime", "critical", "--alpha", "2", "--n", "16", "--grid=-4,4"],
-                         ["covariance", "--alpha", "2", "--n", "16,64"]):
+                         ["covariance", "--alpha", "2", "--n", "16,64"],
+                         ["gf-check", "--delta", "1", "--t", "0.5", "--z", "0.6", "--j", "2"],
+                         ["mc", "--delta", "2", "--n", "16", "--paths", "10", "--out", sys.argv[1]],
+                         ["selftest"]):
                 assert stickywalk.cli.main(argv) == 0, argv
         print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
     """)
     env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "mc.csv")],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 

@@ -115,9 +115,7 @@ def test_laplace_identity_for_ell():
 
 def test_density_transforms():
     for w, lam in ((0.0, 1.0), (1.0, 0.5), (2.0, 2.0)):
-        sub = laplace_numeric(
-            lambda x: subcritical_density(w, x), lam, tol=1e-10, sqrt_singular_at_zero=True
-        )
+        sub = laplace_numeric(lambda x: subcritical_density(w, x), lam, tol=1e-10)
         assert sub == pytest.approx(1.0 / math.sqrt(4.0 * lam + w * w), abs=1e-8)
         sup = laplace_numeric(lambda x: supercritical_density(w, x), lam, tol=1e-10)
         assert sup == pytest.approx(1.0 / (0.5 * w * w + lam), abs=1e-8)
