@@ -19,6 +19,9 @@ reader can see how far the repeats of one run spread:
   each; every batch row must equal its one-angle call byte for byte, or the
   script stops;
 - ``char_fn_exact grid``: the 36 points of that grid at n = 4096, in one call;
+- ``char_fn_gf grid``: the same 36 points read off the generating function
+  on the 33-node contour, in one call, at n = 4096 and at n = 1e6, where
+  the recursion does not run (the sweep's route at both n);
 - ``char_fn_exact 25 one-point calls n=12``: one call per point of a 5 x 5
   grid of angles drawn uniformly from [-pi, pi) (seed 7), enum-oracle's call
   pattern, one h recursion per call;
@@ -36,10 +39,10 @@ reader can see how far the repeats of one run spread:
   and a standard sweep,
   ``sweep --regime critical --alpha 2 --n 256,1024,4096 --paths 10000``.
 
-Each group of rows (the sampler; h and ``char_fn_exact``; the enumeration;
-the critical limit; the fresh interpreters) runs in its own freshly spawned
-process, one group at a time, so the heap one group leaves behind cannot
-slow or speed the next.
+Each group of rows (the sampler; h, ``char_fn_exact`` and ``char_fn_gf``;
+the enumeration; the critical limit; the fresh interpreters) runs in its own
+freshly spawned process, one group at a time, so the heap one group leaves
+behind cannot slow or speed the next.
 
 To compare two checkouts, run each one's own copy and pass the first one's
 output to the second with ``--before``: it is embedded, with the before/after
@@ -129,6 +132,10 @@ def h_rows(repeats: int) -> dict[str, list[float]]:
 
     rows["char_fn_exact grid n=4096"] = times_s(
         lambda: exact.char_fn_exact(param(4096), s_axis, t_axis, 4096), repeats)
+    for n in (4096, 10 ** 6):
+        s_n, t_n = np.array(grid).T / math.sqrt(n)
+        rows[f"char_fn_gf grid n={n}"] = times_s(
+            lambda: exact.char_fn_gf(param(n), s_n, t_n, n), repeats)
 
     p, rng = param(12), random.Random(SEED)
     angles = [rng.uniform(-math.pi, math.pi) for _ in range(5)]

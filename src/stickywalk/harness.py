@@ -27,9 +27,11 @@ from .exact import (
     brute_force_char,
     brute_force_h,
     char_fn_exact,
+    char_fn_gf,
     diag_fourier_sequence,
     exact_covariance,
     gf_closed_form,
+    gf_domain_error,
     gf_series,
     series_truncation,
 )
@@ -73,6 +75,7 @@ __all__ = [
     "laplace_limit_errors",
     "covariance_gaps",
     "critical_route_gap",
+    "gf_route_gaps",
     "mc_agreement",
     "worst_relative_error",
     "sweep_sup_errors",
@@ -193,7 +196,9 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
     computed once; a limit that raises fails only that point's rows.  Each n
     makes one exact call for the whole grid first, and its Monte Carlo sample
     is drawn only if some row of that n can succeed, so an n the exact side
-    refuses costs no simulation.
+    refuses costs no simulation.  That call is char_fn_gf where its domain
+    (gf_domain_error) holds at every grid point of that n, with no n cap, and
+    the h recursion, char_fn_exact, otherwise.
     """
     limits = [_limit_cell(config, s, t) for s, t in config.grid]
     s_axis, t_axis = np.array(config.grid).T
@@ -203,7 +208,9 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
         root_n = math.sqrt(n)
         try:
             p = StickinessParam(delta)
-            exact = char_fn_exact(p, s_axis / root_n, t_axis / root_n, n, config.coupling)
+            s_n, t_n = s_axis / root_n, t_axis / root_n
+            route = char_fn_exact if gf_domain_error(s_n, t_n, n) else char_fn_gf
+            exact = route(p, s_n, t_n, n, config.coupling)
             sample = None
             if config.paths > 0 and not all(isinstance(f, Exception) for f in limits):
                 sample = simulate_endpoints(p, n, config.paths, subseed(config.seed, n))
@@ -447,6 +454,42 @@ def critical_route_gap(alphas, axis, tol: float) -> float:
                   for alpha in alphas for s, t in zip(s_grid.tolist(), t_grid.tolist()))
 
 
+def gf_route_gaps(alphas, ns, axis, far_ns) -> dict:
+    """char_fn_gf against the h recursion and against the critical limit, at
+    delta = alpha sqrt(n) on the axis x axis grid, angles scaled by 1/sqrt(n).
+
+    "gap": worst |char_fn_gf - char_fn_exact| over alphas, ns and both
+    couplings, at the grid points inside char_fn_gf's domain ("outside"
+    counts the (alpha, n, grid point) triples outside it).  "drift": worst
+    |m (f_m - phi) - N (f_N - phi)| over alphas, m in far_ns and the grid,
+    where phi is limit_cf, f_m is char_fn_gf and f_N the recursion at
+    N = ns[-1] (kernel coupling).  "scaled": N sup |f_N - phi| per alpha.
+    """
+    s_grid, t_grid = _grid_axes(axis)
+    couplings = [CouplingVariant.KERNEL] * s_grid.size + [CouplingVariant.PAPER] * s_grid.size
+    gaps, drift, scaled, outside = [], [], [], 0
+    for alpha in alphas:
+        regime = RegimeSpec.critical(alpha)
+        phi = np.array([limit_cf(regime, s, t) for s, t in zip(s_grid.tolist(), t_grid.tolist())])
+        for n in ns:
+            rn = math.sqrt(n)
+            p = StickinessParam(alpha * rn)
+            s_n, t_n = np.tile(s_grid / rn, 2), np.tile(t_grid / rn, 2)
+            recursion = char_fn_exact(p, s_n, t_n, n, couplings).real
+            inside = np.array([not gf_domain_error(a, b, n) for a, b in zip(s_n, t_n)])
+            outside += int(np.sum(~inside[: s_grid.size]))
+            inner = [c for c, keep in zip(couplings, inside) if keep]
+            gf = char_fn_gf(p, s_n[inside], t_n[inside], n, inner).real
+            gaps += np.abs(gf - recursion[inside]).tolist()
+        reference = n * (recursion[: s_grid.size] - phi)
+        scaled.append(_worst(np.abs(reference)))
+        for m in far_ns:
+            rm = math.sqrt(m)
+            f_m = char_fn_gf(StickinessParam(alpha * rm), s_grid / rm, t_grid / rm, m).real
+            drift += np.abs(m * (f_m - phi) - reference).tolist()
+    return {"gap": _worst(gaps), "outside": outside, "drift": _worst(drift), "scaled": scaled}
+
+
 def _off_parity(sample, n: int) -> int:
     """Endpoints with a coordinate whose parity differs from n's."""
     return int(np.sum(((sample.x - n) % 2 != 0) | ((sample.y - n) % 2 != 0)))
@@ -607,6 +650,14 @@ def _laplace_limits(m, tol):
                 f"density identities {m['density']:.2e} (tol 1e-08)")
 
 
+def _gf_route(m, gap_tol, drift_tol):
+    ok = m["gap"] <= gap_tol and m["drift"] <= drift_tol
+    return ok, (f"worst |char_fn_gf - recursion| = {m['gap']:.2e} (tol {gap_tol:g}; "
+                f"{m['outside']} (alpha, n, point) outside its domain skipped); worst drift of "
+                f"n (f_n - phi) from the recursion's = {m['drift']:.2e} (tol {drift_tol:g}); "
+                "n sup|f_n - phi| = " + ", ".join(f"{v:.4f}" for v in m["scaled"]))
+
+
 def _sweep_convergence(m, tol):
     ok = all(sups[-1] <= tol and all(b <= a for a, b in zip(sups, sups[1:]))
              for sups in m.values())
@@ -700,6 +751,11 @@ CHECKS: tuple[Check, ...] = (
           lambda m, tol: (m <= tol, f"worst |contour - phi_critical| = {m:.2e} (tol {tol:g})"),
           (dict(alphas=(2.0,), axis=(-2.0, 0.5, 1.0), tol=1e-12), dict(tol=1e-12)),
           (dict(alphas=(0.5, 2.0), axis=DEFAULT_GRID_AXIS, tol=1e-12), dict(tol=1e-12))),
+    # char_fn_gf, sweep's route wherever its domain holds, against the
+    # recursion to n = 8192 and, as n (f_n - phi), out to n = 1e7
+    Check("gf_route", gf_route_gaps, _gf_route,
+          full=(dict(alphas=(0.5, 2.0), ns=(16, 256, 4096, 8192), axis=DEFAULT_GRID_AXIS,
+                     far_ns=(10 ** 5, 10 ** 6, 10 ** 7)), dict(gap_tol=1e-12, drift_tol=2e-5))),
     Check("critical_convergence", sweep_sup_errors, _sweep_convergence,
           full=(dict(regimes=(RegimeSpec.critical(0.5), RegimeSpec.critical(2.0)), ns=_NS,
                      axis=DEFAULT_GRID_AXIS), dict(tol=5e-2))),

@@ -11,16 +11,19 @@ from stickywalk.exact import (
     brute_force_char,
     brute_force_h,
     char_fn_exact,
+    char_fn_gf,
     diag_fourier_sequence,
     endpoint_distribution,
     exact_covariance,
     gf_closed_form,
+    gf_domain_error,
     gf_h0_reciprocal,
     gf_series,
     series_truncation,
 )
 from stickywalk.harness import oracle_gaps
 from stickywalk.kernel import StickinessParam
+from stickywalk.limits import RegimeSpec, limit_cf
 
 from oracles import literal_endpoint_law, per_angle_h_sequence
 
@@ -285,6 +288,82 @@ def test_char_fn_exact_rejects_mismatched_angles():
     for variant in ([CouplingVariant.KERNEL], [CouplingVariant.PAPER] * 3, []):
         with pytest.raises(ValueError):  # one coupling per point, or one for all
             char_fn_exact(p, [0.1, 0.2], [0.3, 0.4], 4, variant)
+
+
+def test_char_fn_gf_array_equals_scalar_calls():
+    p = StickinessParam(7.0)
+    s = np.array([0.3, -1.1, 0.0, 0.2, 0.3, -0.3, 0.25]) / 4
+    t = np.array([-0.3, 0.4, 0.0, -0.5, -0.3, 0.3, 0.0]) / 4
+    K, P = CouplingVariant.KERNEL, CouplingVariant.PAPER
+    mixed = [P, K, K, P, K, P, K]
+    for n in (16, 40, 10 ** 6):
+        for variant in (K, P, mixed):
+            got = char_fn_gf(p, s, t, n, variant)
+            assert got.dtype == np.complex128 and got.shape == s.shape
+            assert np.all(got.imag == 0.0)
+            per_point = variant if isinstance(variant, list) else [variant] * s.size
+            for a, b, v, value in zip(s.tolist(), t.tolist(), per_point, got):
+                want = char_fn_gf(p, a, b, n, v)
+                assert type(want) is complex
+                assert value == want, (n, v, a, b)
+            if n == 40:
+                assert np.max(np.abs(got - char_fn_exact(p, s, t, n, variant))) <= 1e-12
+    assert char_fn_gf(p, [0.2, -0.1], (0.05, 0.1), 64).shape == (2,)
+    assert char_fn_gf(p, [], [], 64).shape == (0,)
+    assert char_fn_gf(p, 0.0, 0.0, 10 ** 8) == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("s, t", [
+    (math.nan, 0.1), (0.1, math.inf), (-math.inf, 0.0), ([0.1, math.nan], [0.2, 0.3]),
+])
+def test_char_fn_gf_rejects_non_finite_angles(s, t):
+    with pytest.raises(ValueError, match="finite"):
+        char_fn_gf(StickinessParam(1.0), s, t, 64)
+
+
+def test_char_fn_gf_refuses_outside_its_domain():
+    p = StickinessParam(1.0)
+    for n in (0, 13, 15):
+        assert "below 16" in gf_domain_error(0.1, 0.1, n)
+        with pytest.raises(ValueError, match="below 16"):
+            char_fn_gf(p, 0.1, 0.1, n)
+    assert gf_domain_error([0.1, -0.2], [0.1, 0.3], 16) == ""
+    # the branch point -2 / (1 - cos w): rho = sin^2(w / 2) = 1 at w = pi
+    # the pole 1 / (cos s cos t) < 0: rho = -cos(3) cos(0.1) = 0.985
+    # rho = sin^2(0.5) = 0.23: rho^16 = 6e-11 is out, rho^32 = 3.6e-21 is in
+    for s, t, n in ((math.pi / 2, math.pi / 2, 10 ** 6), (3.0, 0.1, 1000), (0.5, 0.5, 16)):
+        assert "rho^n" in gf_domain_error([0.0, s], [0.0, t], n)
+        with pytest.raises(ValueError, match="rho\\^n"):
+            char_fn_gf(p, [0.0, s], [0.0, t], n)
+    assert gf_domain_error(0.5, 0.5, 32) == ""
+    with pytest.raises(ValueError):
+        char_fn_gf(p, [0.1, 0.2], [0.3], 64)
+
+
+def test_char_fn_gf_complements_at_1e8():
+    # n (f_n - phi) has a limit whose sup over the default grid is 0.174 at
+    # alpha = 2 (0.17399 from the recursion at n = 8192); with the naive
+    # 1 - cos s cos t in the denominator the same sup reads 0.150 at n = 1e8
+    n, axis = 10 ** 8, (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
+    s, t = np.repeat(axis, 6), np.tile(axis, 6)
+    phi = np.array([limit_cf(RegimeSpec.critical(2.0), a, b) for a, b in zip(s, t)])
+    f = char_fn_gf(StickinessParam(2.0 * math.sqrt(n)), s / math.sqrt(n), t / math.sqrt(n), n)
+    assert n * np.max(np.abs(f.real - phi)) == pytest.approx(0.17399, abs=2e-5)
+
+
+def test_gf_h0_reciprocal_complex_arrays():
+    p = StickinessParam(3.0)
+    z = np.array([0.2, 0.7, 0.999])
+    t = np.array([[0.0], [0.4], [2.5]])
+    got = gf_h0_reciprocal(p, t, z.astype(complex))
+    assert got.shape == (3, 3) and got.dtype == np.complex128
+    for i, a in enumerate(t[:, 0].tolist()):
+        for k, b in enumerate(z.tolist()):
+            assert got[i, k] == pytest.approx(gf_h0_reciprocal(p, a, b), abs=1e-15)
+    # conjugate off the real axis, away from the cuts on z >= 2/(1 + cos t) and z <= -2/(1 - cos t)
+    w = np.array([2.0 + 1.5j, -3.0 + 0.1j, 0.5 - 4j])
+    assert np.allclose(gf_h0_reciprocal(p, 0.4, w.conjugate()), gf_h0_reciprocal(p, 0.4, w).conjugate(),
+                       rtol=0.0, atol=1e-14)
 
 
 def test_oracle_equivalence_grid():

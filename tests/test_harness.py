@@ -17,7 +17,7 @@ import stickywalk.harness as harness
 import stickywalk.limits as limits
 import stickywalk.specfun as specfun
 from stickywalk.cli import main
-from stickywalk.exact import CouplingVariant, char_fn_exact
+from stickywalk.exact import CouplingVariant, char_fn_exact, char_fn_gf
 from stickywalk.harness import (
     CHECKS,
     SweepConfig,
@@ -80,7 +80,8 @@ def test_run_sweep_rows_are_recomputable():
         assert row.error == ""
         assert row.delta == pytest.approx(2.0 * math.sqrt(row.n))
         root = math.sqrt(row.n)
-        f_exact = char_fn_exact(StickinessParam(row.delta), row.s / root, row.t / root, row.n).real
+        # sweep's route at these n; test_acceptance[gf_route] holds it to the recursion
+        f_exact = char_fn_gf(StickinessParam(row.delta), row.s / root, row.t / root, row.n).real
         assert row.f_exact == pytest.approx(f_exact, abs=1e-15)
         assert row.err_exact_limit == pytest.approx(abs(row.f_exact - row.f_limit), abs=1e-18)
         assert row.err_mc_exact == pytest.approx(abs(row.f_mc - row.f_exact), abs=1e-18)
@@ -157,17 +158,23 @@ def _per_point_char_fn(p, s, t, n, variant=CouplingVariant.KERNEL):
 
 
 def test_run_sweep_bytes_match_per_point_recursion(monkeypatch):
-    axis = (-2.0, 0.5, 1.0)
-    config = SweepConfig(regime=RegimeSpec.critical(1.37), n_list=(64, 300, 1024),
-                         grid=tuple((s, t) for s in axis for t in axis), paths=300, seed=5)
+    # each n has one grid point with s + t = pi once scaled, outside
+    # char_fn_gf's domain, so the sweep takes the recursion at every n
+    axis, n_list = (-2.0, 0.5, 1.0), (64, 300, 1024)
+    far = tuple((math.pi * math.sqrt(n) / 2,) * 2 for n in n_list)
+    config = SweepConfig(regime=RegimeSpec.critical(1.37), n_list=n_list,
+                         grid=tuple((s, t) for s in axis for t in axis) + far, paths=300, seed=5)
     batched = write_report(run_sweep(config), fmt="csv")
+    monkeypatch.setattr(harness, "char_fn_gf", None)
+    assert write_report(run_sweep(config), fmt="csv") == batched
     monkeypatch.setattr(harness, "char_fn_exact", _per_point_char_fn)
     assert write_report(run_sweep(config), fmt="csv") == batched
 
 
 def test_run_sweep_runs_one_h_column_per_distinct_cosine(monkeypatch):
     # the default grid's 15 distinct (s + t) / sqrt(n) come in +- pairs:
-    # 8 distinct cosines, so 8 recursion columns at each n
+    # 8 distinct cosines, so 8 recursion columns at each n (below n = 16,
+    # outside char_fn_gf's domain, the sweep takes the recursion)
     sizes = []
     real = exact._h_steps
 
@@ -176,7 +183,7 @@ def test_run_sweep_runs_one_h_column_per_distinct_cosine(monkeypatch):
         return real(u, ct, j, col)
 
     monkeypatch.setattr(exact, "_h_steps", spying)
-    config = SweepConfig(regime=RegimeSpec.critical(2.0), n_list=(256, 1024, 4096))
+    config = SweepConfig(regime=RegimeSpec.critical(2.0), n_list=(4, 9, 15))
     assert not any(row.error for row in run_sweep(config))
     assert sizes == [8, 8, 8]
 
@@ -244,8 +251,10 @@ def test_run_sweep_isolates_per_n_failures():
 
 
 def test_run_sweep_skips_simulation_the_exact_side_refuses(monkeypatch):
-    # the h recursion refuses n over its budget; no sample is drawn for that
-    # n, but the n before it is still simulated
+    # at n = big both routes refuse: s = t = pi sqrt(big) / 2 puts s + t at pi
+    # once scaled, where rho = 1 keeps char_fn_gf out, and the h recursion
+    # refuses n over its budget; no sample is drawn for that n, but the n
+    # before it is still simulated
     calls = []
     real = harness.simulate_endpoints
 
@@ -255,12 +264,13 @@ def test_run_sweep_skips_simulation_the_exact_side_refuses(monkeypatch):
 
     monkeypatch.setattr(harness, "simulate_endpoints", counting)
     big = 2 * exact._H_MAX_N
+    far = math.pi * math.sqrt(big) / 2
     config = SweepConfig(regime=RegimeSpec.critical(2.0), n_list=(64, big),
-                         grid=((1.0, 1.0), (0.5, -1.0)), paths=100)
+                         grid=((1.0, 1.0), (far, far)), paths=100)
     rows = run_sweep(config)
     assert calls == [64]
     assert [(r.n, r.s, r.t) for r in rows] == [
-        (64, 1.0, 1.0), (64, 0.5, -1.0), (big, 1.0, 1.0), (big, 0.5, -1.0)
+        (64, 1.0, 1.0), (64, far, far), (big, 1.0, 1.0), (big, far, far)
     ]
     assert all(r.error == "" and r.f_mc is not None for r in rows[:2])
     for row in rows[2:]:
@@ -579,6 +589,18 @@ def test_cli_over_budget_exits_2(argv, tmp_path, monkeypatch, capsys):
     _assert_usage_error(argv)
     assert "budget" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_cli_sweep_past_the_h_budget(capsys):
+    # sweep reads f off the generating function, with no n cap; exact-cf
+    # runs the h recursion, whose budget still binds
+    assert main(["sweep", "--regime", "critical", "--alpha", "2", "--n", "65536",
+                 "--grid", "1"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["error"] == "" and float(cells["err_exact_limit"]) < 1e-5
+    _assert_usage_error(["exact-cf", "--delta", "2", "--n", "65536", "--s", "0.1"])
+    assert "budget" in capsys.readouterr().err
 
 
 def test_cli_far_critical_angle_prints_a_number(capsys):
