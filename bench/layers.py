@@ -22,6 +22,8 @@ reader can see how far the repeats of one run spread:
 - ``char_fn_gf grid``: the same 36 points read off the generating function
   on the 33-node contour, in one call, at n = 4096 and at n = 1e6, where
   the recursion does not run (the sweep's route at both n);
+- ``exact_covariance n=N``: E[x y] at n = 1e4 and 1e6, each read off its
+  generating function on the same contour (the covariance command's route);
 - ``char_fn_exact 25 one-point calls n=12``: one call per point of a 5 x 5
   grid of angles drawn uniformly from [-pi, pi) (seed 7), enum-oracle's call
   pattern, one h recursion per call;
@@ -39,10 +41,10 @@ reader can see how far the repeats of one run spread:
   and a standard sweep,
   ``sweep --regime critical --alpha 2 --n 256,1024,4096 --paths 10000``.
 
-Each group of rows (the sampler; h, ``char_fn_exact`` and ``char_fn_gf``;
-the enumeration; the critical limit; the fresh interpreters) runs in its own
-freshly spawned process, one group at a time, so the heap one group leaves
-behind cannot slow or speed the next.
+Each group of rows (the sampler; h, ``char_fn_exact``, ``char_fn_gf`` and
+``exact_covariance``; the enumeration; the critical limit; the fresh
+interpreters) runs in its own freshly spawned process, one group at a time,
+so the heap one group leaves behind cannot slow or speed the next.
 
 To compare two checkouts, run each one's own copy and pass the first one's
 output to the second with ``--before``: it is embedded, with the before/after
@@ -136,6 +138,9 @@ def h_rows(repeats: int) -> dict[str, list[float]]:
         s_n, t_n = np.array(grid).T / math.sqrt(n)
         rows[f"char_fn_gf grid n={n}"] = times_s(
             lambda: exact.char_fn_gf(param(n), s_n, t_n, n), repeats)
+    for n in (10 ** 4, 10 ** 6):
+        rows[f"exact_covariance n={n}"] = times_s(
+            lambda: exact.exact_covariance(param(n), n), repeats)
 
     p, rng = param(12), random.Random(SEED)
     angles = [rng.uniform(-math.pi, math.pi) for _ in range(5)]

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: selftest, sweep, covariance, exact-cf, limit-cf, mc, gf-check.
+Subcommands: selftest, sweep, covariance, exact-cf, limit-cf, mc.
 A flat key=value config file can supply the value of any flag its command
 takes, checked like the flag itself; explicit flags win.  Exit status: 0
 success, 1 numeric failure, 2 usage error (an unparsable, out-of-range or
@@ -17,11 +17,10 @@ import sys
 from pathlib import Path
 
 from .errors import CapacityError
-from .exact import CouplingVariant, char_fn_exact
+from .exact import CouplingVariant, char_fn
 from .harness import (
     DEFAULT_GRID_AXIS,
     SweepConfig,
-    gf_check,
     run_covariance,
     run_selftest,
     run_sweep,
@@ -145,14 +144,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--n", type=_int(0), default=0)
     sampler(p, paths_min=1, paths_default=1000)
 
-    p = command("gf-check", "closed-form generating function vs truncated series")
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--z", type=float, default=0.5)
-    p.add_argument("--j", type=_int(0), default=0)
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="pick series truncation from this tail bound")
-
     return parser, commands
 
 
@@ -198,8 +189,8 @@ def _cmd_covariance(args) -> int:
 
 
 def _cmd_exact_cf(args) -> int:
-    value = char_fn_exact(StickinessParam(args.delta), args.s, args.t, args.n,
-                          _COUPLINGS[args.coupling])
+    value = char_fn(StickinessParam(args.delta), args.s, args.t, args.n,
+                    _COUPLINGS[args.coupling])
     print(f"{value.real:.17g}")
     return 0
 
@@ -216,15 +207,6 @@ def _cmd_mc(args) -> int:
     return 0
 
 
-def _cmd_gf_check(args) -> int:
-    check = gf_check(StickinessParam(args.delta), args.t, args.z, args.j, args.tol)
-    ok = check["gap"] <= check["bound"]
-    print("closed={closed:.17g} series(N={N})={series:.17g} |gap|={gap:.3e} "
-          "bound={bound:.3e}".format(**check))
-    print("OK" if ok else "MISMATCH")
-    return 0 if ok else 1
-
-
 _COMMANDS = {
     "selftest": _cmd_selftest,
     "sweep": _cmd_sweep,
@@ -232,7 +214,6 @@ _COMMANDS = {
     "exact-cf": _cmd_exact_cf,
     "limit-cf": _cmd_limit_cf,
     "mc": _cmd_mc,
-    "gf-check": _cmd_gf_check,
 }
 
 

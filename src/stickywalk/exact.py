@@ -11,9 +11,9 @@ Three computation routes are kept deliberately separate:
   per distinct cosine rather than O(n^2) per angle, and nothing is cached
   between calls;
 * closed forms for the generating functions H(j, t, z) = sum_n h(j, t, n) z^n
-  and F(s, t, z) = sum_n f(s, t, n) z^n, and f read off F by inverting it on
-  a fixed 33-node contour (char_fn_gf): O(1) in n, inside a stated domain,
-  with the recursion as its check;
+  and F(s, t, z) = sum_n f(s, t, n) z^n, and f and E[x y] read off them by
+  one inversion on a fixed 33-node contour (_zn_coefficient): O(1) in n,
+  inside gf_domain_error's domain, with the recursion as its check;
 * an enumeration of all 4**n move sequences (with the diagonal-dependent
   weights) that serves as a brute-force oracle for small n.  It is split at
   n // 2, meet in the middle: each sequence is still one term, and the cost
@@ -45,21 +45,20 @@ __all__ = [
     "coupling_coefficient",
     "char_fn_exact",
     "char_fn_gf",
+    "char_fn",
     "gf_domain_error",
     "endpoint_distribution",
     "brute_force_char",
     "brute_force_h",
     "gf_closed_form",
     "gf_h0_reciprocal",
-    "gf_series",
-    "series_truncation",
     "exact_covariance",
 ]
 
 _ENUM_MAX_N = 14
-# the h recursion to 2**15 takes about 0.4 s for one angle and 1.4 s for the
-# 15 distinct angles of the default sweep grid, which have 8 distinct cosines
-# (2-core x86-64 host, numpy 2.4)
+# the h recursion's budget; f and E[x y] come off the contour with no n cap,
+# so it binds only the recursion run as a check and char_fn's fallback
+# outside gf_domain_error's domain
 _H_MAX_N = 1 << 15
 _TINY = np.finfo(np.float64).tiny
 _ENUM_CHUNK = 1 << 21
@@ -72,7 +71,11 @@ class CouplingVariant(str, enum.Enum):
     (1 - u) sin(s) sin(t); PAPER is the printed alternative -(u/2) sin(s)
     sin(t).  The two agree only at u = 2, but share the -ts/n behaviour under
     the u -> 2 scalings, so limit statements are insensitive to the choice.
-    KERNEL is the default and is the one validated against enumeration.
+    Their rates are not: at delta = 0.5 sqrt(n), sup |f_n - phi| over the
+    default sweep grid is 4.2e-5 (KERNEL) and 5.0e-3 (PAPER) at n = 4096, and
+    1.7e-7 and 3.2e-4 at n = 1e6, so KERNEL converges like 1/n and PAPER like
+    n^(-1/2).  KERNEL is the default and is the one validated against
+    enumeration.
     """
 
     KERNEL = "kernel-derived"
@@ -129,8 +132,8 @@ def diag_fourier_sequence(u: float, t, n: int, j: int = 0) -> np.ndarray:
     20 / sqrt(n) of the cells for large n (for the default sweep grid, 44%
     at n = 1024 and 19% at 8192).
 
-    Raises CapacityError for n > 2**15, so every caller refuses a request
-    that would run for minutes instead of starting it.
+    Raises CapacityError for n > 2**15 instead of running for minutes (only
+    the checks and char_fn's fallback outside the contour's domain go there).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -220,13 +223,20 @@ def coupling_coefficient(
     return -0.5 * p.u * math.sin(s) * math.sin(t)
 
 
-def _cf_points(s, t, variant):
-    """The points of a char_fn_* call: (one point given as scalars, s list,
-    t list, one CouplingVariant per point); ValueError as char_fn_exact says."""
+def _angle_arrays(s, t):
+    """s and t as float64 arrays; ValueError unless two angles or two
+    equal-length 1-D sequences."""
     s_arr, t_arr = np.asarray(s, dtype=np.float64), np.asarray(t, dtype=np.float64)
     if s_arr.ndim > 1 or s_arr.shape != t_arr.shape:
         raise ValueError(f"s and t must be two angles or two equal-length 1-D sequences, "
                          f"got shapes {s_arr.shape} and {t_arr.shape}")
+    return s_arr, t_arr
+
+
+def _cf_points(s, t, variant):
+    """The points of a char_fn_* call: (one point given as scalars, s list,
+    t list, one CouplingVariant per point); ValueError as char_fn_exact says."""
+    s_arr, t_arr = _angle_arrays(s, t)
     s_list, t_list = s_arr.reshape(-1).tolist(), t_arr.reshape(-1).tolist()
     if not all(map(math.isfinite, s_list + t_list)):
         raise ValueError("angles must be finite")
@@ -283,13 +293,13 @@ def gf_domain_error(s, t, n: int) -> str:
         rho = max(sin^2((s + t) / 2), -cos s cos t)
 
     is the largest 1/|z| of a singularity of F(s, t, z) on the negative z
-    axis (see char_fn_gf); a NaN rho is outside.
+    axis (see char_fn_gf); a NaN rho is outside.  Unequal shapes raise
+    ValueError, as in char_fn_exact.
     """
+    s_arr, t_arr = (a.reshape(-1) for a in _angle_arrays(s, t))
     if n < _GF_MIN_N:
         return (f"n = {n} is below {_GF_MIN_N}: the contour's nodes reach |Im lam| = 36.4, "
                 f"and F(exp(-lam / n)) repeats with period 2 pi n in Im lam")
-    s_arr = np.asarray(s, dtype=np.float64).reshape(-1)
-    t_arr = np.asarray(t, dtype=np.float64).reshape(-1)
     if not s_arr.size:
         return ""
     rho = np.maximum(np.sin(0.5 * (s_arr + t_arr)) ** 2, -np.cos(s_arr) * np.cos(t_arr))
@@ -300,6 +310,20 @@ def gf_domain_error(s, t, n: int) -> str:
     return (f"rho^n = {power:.3g} > {_GF_MAX_RHO_POWER:g} at (s, t) = ({s_arr[worst]!r}, "
             f"{t_arr[worst]!r}), n = {n}: F has a singularity on the negative z axis at "
             f"|z| = 1/rho, where the contour's error is up to rho^n")
+
+
+def _zn_coefficient(transform, n: int):
+    """[z^n] G, G given as transform(z, 1 - z) with one column per node.
+
+    With z = exp(-lam / n), [z^n] G is the inverse Laplace transform of
+    G(exp(-lam / n)) / n at time 1: sum_k CONTOUR_WEIGHTS[k] G(exp(-CONTOUR_NODES[k]
+    / n)) / n (real part) on specfun's fixed 33-node hyperbolic contour
+    (Weideman & Trefethen, Math. Comp. 76, 2007; after Abate & Whitt, Queueing
+    Systems 10, 1992), with 1 - z = -expm1(-lam / n) formed exactly.
+    """
+    x = CONTOUR_NODES / -n
+    z, one_minus_z = np.exp(x), -np.expm1(x)
+    return (transform(z, one_minus_z) * CONTOUR_WEIGHTS).sum(axis=-1).real / n
 
 
 def char_fn_gf(
@@ -316,12 +340,9 @@ def char_fn_gf(
 
         F(s, t, z) = sum_n f(s, t, n) z^n = (1 + c z H(0, w, z)) / (1 - z cos s cos t),
 
-    and 1 / H(0) is gf_h0_reciprocal.  With z = exp(-lam / n), f(s, t, n) is
-    the inverse Laplace transform of F(exp(-lam / n)) / n at time 1, so it is
-    sum_k CONTOUR_WEIGHTS[k] F(exp(-CONTOUR_NODES[k] / n)) / n (real part),
-    on specfun's fixed 33-node hyperbolic contour (Weideman & Trefethen, Math.
-    Comp. 76, 2007; after Abate & Whitt, Queueing Systems 10, 1992).  Cost is
-    33 evaluations per point, whatever n.  The complements are formed exactly:
+    and 1 / H(0) is gf_h0_reciprocal; f(s, t, n) = [z^n] F is read off the
+    contour by _zn_coefficient.  Cost is 33 evaluations per point, whatever
+    n.  The complements are formed exactly:
     1 - z = -expm1(-lam / n), 1 - cos w = 2 sin^2(w / 2) (in
     gf_h0_reciprocal), and 1 - cos s cos t = 2 sin^2(s / 2) + 2 cos s
     sin^2(t / 2); with the naive 1 - cos s cos t the value is off by up to
@@ -364,12 +385,22 @@ def char_fn_gf(
     c = np.reshape([coupling_coefficient(p, a, b, v) for a, b, v in zip(s_list, t_list, variants)],
                    (-1, 1))
     one_minus_cc = 2.0 * np.sin(0.5 * s_col) ** 2 + 2.0 * np.cos(s_col) * np.sin(0.5 * t_col) ** 2
-    x = CONTOUR_NODES / -n
-    z, one_minus_z = np.exp(x), -np.expm1(x)
-    reciprocal = gf_h0_reciprocal(p, s_col + t_col, z, one_minus_z)
-    transform = (reciprocal + c * z) / (reciprocal * (one_minus_z + z * one_minus_cc))
-    values = (transform * CONTOUR_WEIGHTS).sum(axis=1).real / n + 0j
+
+    def transform(z, one_minus_z):
+        reciprocal = gf_h0_reciprocal(p, s_col + t_col, z, one_minus_z)
+        return (reciprocal + c * z) / (reciprocal * (one_minus_z + z * one_minus_cc))
+
+    values = _zn_coefficient(transform, n) + 0j
     return complex(values[0]) if scalar else values
+
+
+def char_fn(p: StickinessParam, s, t, n: int, variant=CouplingVariant.KERNEL):
+    """E[exp(i s x + i t y)] at step n: char_fn_gf where gf_domain_error holds
+    at every point, with no n cap, and char_fn_exact (the h recursion, with its
+    budget) otherwise.  Arguments and return shapes are char_fn_exact's.
+    """
+    route = char_fn_exact if gf_domain_error(s, t, n) else char_fn_gf
+    return route(p, s, t, n, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -514,49 +545,27 @@ def gf_h0_reciprocal(p: StickinessParam, t, z, one_minus_z=None):
     return p.u_minus_one * one_minus_zc + p.two_minus_u * root
 
 
-def gf_closed_form(p: StickinessParam, t: float, z: float, j: int = 0) -> float:
-    """H(j, t, z) from the closed forms, z in (0, 1).
+def gf_closed_form(p: StickinessParam, t, z, j: int = 0, one_minus_z=None):
+    """H(j, t, z) from the closed forms.
 
     H(0) = 1 / gf_h0_reciprocal and H(1) = H(0) (2/z - u cos t) - 2/z; for
-    j >= 1 the ladder decays geometrically, H(j) = H(1) q^(j-1), where q < 1
-    is the smaller root of X^2 + (2 cos t - 4/z) X + 1 = 0 (the roots
-    multiply to 1).
+    j >= 1 the ladder decays geometrically, H(j) = H(1) q^(j-1), where q is
+    the root of smaller modulus of X^2 + (2 cos t - 4/z) X + 1 = 0.  The roots
+    b +- sqrt(b^2 - 1), b = 2/z - cos t, multiply to 1 and have equal modulus
+    only on gf_h0_reciprocal's two cuts, so H(j) is analytic off them.  Types
+    are gf_h0_reciprocal's: real t and z in (0, 1) give a float.
     """
     if j < 0:
         raise ValueError("j must be >= 0")
-    ct = math.cos(t)
-    H0 = 1.0 / gf_h0_reciprocal(p, t, z)  # rejects z outside (0, 1)
+    H0 = 1.0 / gf_h0_reciprocal(p, t, z, one_minus_z)  # rejects a real z outside (0, 1)
     if j == 0:
         return H0
-    root_base = 2.0 / z - ct  # > 1 for z in (0, 1)
-    q = 1.0 / (root_base + math.sqrt(root_base * root_base - 1.0))
-    return (H0 * (2.0 / z - p.u * ct) - 2.0 / z) * q ** (j - 1)
-
-
-def gf_series(p: StickinessParam, t: float, z: float, j: int, N: int) -> float:
-    """Partial sum  sum_{n<=N} h(j, t, n) z^n  via the recursion.
-
-    Since |h| <= 1, the truncation error against the full series is at most
-    z^(N+1) / (1 - z).
-    """
-    if not (0.0 < z < 1.0):
-        raise ValueError("z must lie in (0, 1)")
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    hj = diag_fourier_sequence(p.u, t, N, j=j)
-    return float(hj @ z ** np.arange(N + 1, dtype=np.float64))
-
-
-def series_truncation(z: float, tol: float) -> int:
-    """Smallest N with tail bound z^(N+1) / (1 - z) <= tol."""
-    if not (0.0 < z < 1.0):
-        raise ValueError("z must lie in (0, 1)")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    N = max(0, math.ceil(math.log(tol * (1.0 - z)) / math.log(z)) - 1)
-    while z ** (N + 1) / (1.0 - z) > tol:
-        N += 1
-    return N
+    ct = np.cos(t)
+    b = 2.0 / z - ct
+    root = np.sqrt(b * b - 1.0 + 0j)
+    q = 1.0 / np.where(abs(b + root) >= abs(b - root), b + root, b - root)
+    h = (H0 * (2.0 / z - p.u * ct) - 2.0 / z) * q ** (j - 1)
+    return float(h.real) if isinstance(H0, float) else h
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +578,19 @@ def exact_covariance(p: StickinessParam, n: int) -> float:
     Increments have conditional product-mean (u - 1) on the diagonal and 0
     off it, and the cross terms vanish because increments are conditionally
     mean-zero, so the covariance telescopes to
-    (u - 1) * sum_{k<n} P(diagonal at k).
+    (u - 1) * sum_{k<n} h(0, 0, k), with generating function
+    (u - 1) z H(0, 0, z) / (1 - z).  Its [z^n] is read off the contour where
+    gf_domain_error(0, 0, n) holds (rho = 0 at w = 0, so n >= 16), else the
+    recursion's sum is taken.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return 0.0
-    occupation = diag_fourier_sequence(p.u, 0.0, n - 1)
-    return p.u_minus_one * float(occupation.sum())
+    if gf_domain_error(0.0, 0.0, n):
+        return p.u_minus_one * float(diag_fourier_sequence(p.u, 0.0, n - 1).sum())
+
+    def transform(z, one_minus_z):
+        return z / (one_minus_z * gf_h0_reciprocal(p, 0.0, z, one_minus_z))
+
+    return p.u_minus_one * float(_zn_coefficient(transform, n))

@@ -24,16 +24,16 @@ import numpy as np
 from . import specfun
 from .exact import (
     CouplingVariant,
+    _zn_coefficient,
     brute_force_char,
     brute_force_h,
+    char_fn,
     char_fn_exact,
     char_fn_gf,
     diag_fourier_sequence,
     exact_covariance,
     gf_closed_form,
     gf_domain_error,
-    gf_series,
-    series_truncation,
 )
 from .kernel import StickinessParam, simulate_endpoints, stickiness_u
 from .limits import (
@@ -67,7 +67,6 @@ __all__ = [
     "rows_to_json",
     "write_report",
     "oracle_gaps",
-    "gf_check",
     "gf_gaps",
     "variant_values",
     "variant_sup_gaps",
@@ -196,9 +195,8 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
     computed once; a limit that raises fails only that point's rows.  Each n
     makes one exact call for the whole grid first, and its Monte Carlo sample
     is drawn only if some row of that n can succeed, so an n the exact side
-    refuses costs no simulation.  That call is char_fn_gf where its domain
-    (gf_domain_error) holds at every grid point of that n, with no n cap, and
-    the h recursion, char_fn_exact, otherwise.
+    refuses costs no simulation.  That call is exact.char_fn, which picks
+    the contour or the h recursion for the whole grid of that n.
     """
     limits = [_limit_cell(config, s, t) for s, t in config.grid]
     s_axis, t_axis = np.array(config.grid).T
@@ -209,8 +207,7 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
         try:
             p = StickinessParam(delta)
             s_n, t_n = s_axis / root_n, t_axis / root_n
-            route = char_fn_exact if gf_domain_error(s_n, t_n, n) else char_fn_gf
-            exact = route(p, s_n, t_n, n, config.coupling)
+            exact = char_fn(p, s_n, t_n, n, config.coupling)
             sample = None
             if config.paths > 0 and not all(isinstance(f, Exception) for f in limits):
                 sample = simulate_endpoints(p, n, config.paths, subseed(config.seed, n))
@@ -333,35 +330,28 @@ def oracle_gaps(deltas, ns, angles, js) -> tuple[float, float]:
     return _worst(f_gaps), _worst(h_gaps)
 
 
-def gf_check(p: StickinessParam, t: float, z: float, j: int, tail_tol: float) -> dict:
-    """Closed-form H(j, t, z) vs its series, truncated at the smallest N whose
-    tail bound z^(N+1) / (1 - z) is below tail_tol.
+def gf_gaps(deltas, ns, ts, js) -> float:
+    """Worst |[z^n] H(j, t, z) - h(j, t, n)| over the grid: gf_closed_form
+    read off the contour by exact's inversion against the h recursion.
 
-    "bound" is that tail bound plus 1e-12 of rounding slack; the closed form
-    and the series agree iff gap <= bound.
+    H(j, t, z) is singular on the negative z axis at the branch point
+    -2 / (1 - cos t) and, at u = 2, the pole 1 / cos t: gf_domain_error's rho
+    at (t, 0).  Every (t, n) must lie in that domain, or this raises
+    ValueError; at t = 2, rho = sin^2(1) = 0.708 and n >= 87.
     """
-    N = series_truncation(z, tail_tol)
-    closed = gf_closed_form(p, t, z, j)
-    series = gf_series(p, t, z, j, N)
-    return {"N": N, "closed": closed, "series": series, "gap": abs(closed - series),
-            "bound": z ** (N + 1) / (1.0 - z) + 1e-12}
-
-
-def gf_gaps(deltas, zs, ts, js) -> dict:
-    """gf_check at tail_tol 1e-13 over a grid.
-
-    "margin" is the worst gap minus its bound; the bound holds iff margin <= 0.
-    """
-    gaps, margins = [], []
-    for delta in deltas:
-        p = StickinessParam(delta)
-        for z in zs:
-            for t in ts:
-                for j in js:
-                    check = gf_check(p, t, z, j, 1e-13)
-                    gaps.append(check["gap"])
-                    margins.append(check["gap"] - check["bound"])
-    return {"gap": _worst(gaps), "margin": _worst(margins, floor=-math.inf)}
+    gaps = []
+    for n in ns:
+        cause = gf_domain_error(ts, np.zeros(len(ts)), n)
+        if cause:
+            raise ValueError(cause)
+        for delta in deltas:
+            p = StickinessParam(delta)
+            for j in js:
+                recursion = diag_fourier_sequence(p.u, ts, n, j=j)[:, n]
+                for t, h in zip(ts, recursion.tolist()):
+                    closed = _zn_coefficient(lambda z, omz: gf_closed_form(p, t, z, j, omz), n)
+                    gaps.append(abs(closed - h))
+    return _worst(gaps)
 
 
 def variant_values(delta: float, s: float, t: float, n: int) -> dict:
@@ -456,7 +446,8 @@ def critical_route_gap(alphas, axis, tol: float) -> float:
 
 def gf_route_gaps(alphas, ns, axis, far_ns) -> dict:
     """char_fn_gf against the h recursion and against the critical limit, at
-    delta = alpha sqrt(n) on the axis x axis grid, angles scaled by 1/sqrt(n).
+    delta = alpha sqrt(n) on the axis x axis grid, angles scaled by 1/sqrt(n),
+    and exact_covariance against the recursion's sum.
 
     "gap": worst |char_fn_gf - char_fn_exact| over alphas, ns and both
     couplings, at the grid points inside char_fn_gf's domain ("outside"
@@ -464,10 +455,12 @@ def gf_route_gaps(alphas, ns, axis, far_ns) -> dict:
     |m (f_m - phi) - N (f_N - phi)| over alphas, m in far_ns and the grid,
     where phi is limit_cf, f_m is char_fn_gf and f_N the recursion at
     N = ns[-1] (kernel coupling).  "scaled": N sup |f_N - phi| per alpha.
+    "covariance": worst |exact_covariance - (u - 1) sum_{k<n} h(0, 0, k)|
+    relative to the latter, over alphas and ns.
     """
     s_grid, t_grid = _grid_axes(axis)
     couplings = [CouplingVariant.KERNEL] * s_grid.size + [CouplingVariant.PAPER] * s_grid.size
-    gaps, drift, scaled, outside = [], [], [], 0
+    gaps, drift, scaled, covariance, outside = [], [], [], [], 0
     for alpha in alphas:
         regime = RegimeSpec.critical(alpha)
         phi = np.array([limit_cf(regime, s, t) for s, t in zip(s_grid.tolist(), t_grid.tolist())])
@@ -481,13 +474,16 @@ def gf_route_gaps(alphas, ns, axis, far_ns) -> dict:
             inner = [c for c, keep in zip(couplings, inside) if keep]
             gf = char_fn_gf(p, s_n[inside], t_n[inside], n, inner).real
             gaps += np.abs(gf - recursion[inside]).tolist()
+            summed = p.u_minus_one * float(diag_fourier_sequence(p.u, 0.0, n - 1).sum())
+            covariance.append(abs(exact_covariance(p, n) - summed) / abs(summed))
         reference = n * (recursion[: s_grid.size] - phi)
         scaled.append(_worst(np.abs(reference)))
         for m in far_ns:
             rm = math.sqrt(m)
             f_m = char_fn_gf(StickinessParam(alpha * rm), s_grid / rm, t_grid / rm, m).real
             drift += np.abs(m * (f_m - phi) - reference).tolist()
-    return {"gap": _worst(gaps), "outside": outside, "drift": _worst(drift), "scaled": scaled}
+    return {"gap": _worst(gaps), "outside": outside, "drift": _worst(drift), "scaled": scaled,
+            "covariance": _worst(covariance)}
 
 
 def _off_parity(sample, n: int) -> int:
@@ -650,12 +646,14 @@ def _laplace_limits(m, tol):
                 f"density identities {m['density']:.2e} (tol 1e-08)")
 
 
-def _gf_route(m, gap_tol, drift_tol):
-    ok = m["gap"] <= gap_tol and m["drift"] <= drift_tol
+def _gf_route(m, gap_tol, drift_tol, covariance_tol):
+    ok = m["gap"] <= gap_tol and m["drift"] <= drift_tol and m["covariance"] <= covariance_tol
     return ok, (f"worst |char_fn_gf - recursion| = {m['gap']:.2e} (tol {gap_tol:g}; "
                 f"{m['outside']} (alpha, n, point) outside its domain skipped); worst drift of "
                 f"n (f_n - phi) from the recursion's = {m['drift']:.2e} (tol {drift_tol:g}); "
-                "n sup|f_n - phi| = " + ", ".join(f"{v:.4f}" for v in m["scaled"]))
+                "n sup|f_n - phi| = " + ", ".join(f"{v:.4f}" for v in m["scaled"])
+                + f"; worst relative |exact_covariance - recursion| = {m['covariance']:.2e} "
+                f"(tol {covariance_tol:g})")
 
 
 def _sweep_convergence(m, tol):
@@ -715,11 +713,11 @@ CHECKS: tuple[Check, ...] = (
                      "f(0,0)=1, exchange symmetry (both couplings), |h|<=1, mirrored mass 1"),
           (dict(deltas=(0.0, 1.5, 20.0)), {})),
     Check("gf_identity", gf_gaps,
-          lambda m: (m["margin"] <= 0.0, f"closed form vs series, worst gap {m['gap']:.2e}, "
-                     f"worst (gap - tail bound) = {m['margin']:.2e} (must be <= 0)"),
-          (dict(deltas=(0.5, 3.0), zs=(0.3, 0.6, 0.9), ts=(0.0, 0.5, 2.0), js=(0, 1, 2, 5)), {}),
-          (dict(deltas=(0.5, 1.0, 5.0), zs=(0.3, 0.6, 0.9), ts=(0.0, 0.5, 2.0),
-                js=(0, 1, 2, 5)), {})),
+          lambda m, tol: (m <= tol, f"[z^n] of the closed form on the contour vs the recursion, "
+                                    f"worst gap {m:.2e} (tol {tol:g})"),
+          (dict(deltas=(0.5, 3.0), ns=(96,), ts=(0.0, 0.5, 2.0), js=(0, 1, 2, 5)), dict(tol=1e-12)),
+          (dict(deltas=(0.5, 1.0, 3.0, 5.0), ns=(96, 128, 512), ts=(0.0, 0.5, 2.0),
+                js=(0, 1, 2, 5)), dict(tol=1e-12))),
     Check("special_functions", special_function_errors,
           lambda m, erfc_tol, strip_tol, origin_tol: (
               m["erfc"] <= erfc_tol and m["strip"] <= strip_tol and m["origin"] < origin_tol
@@ -751,11 +749,12 @@ CHECKS: tuple[Check, ...] = (
           lambda m, tol: (m <= tol, f"worst |contour - phi_critical| = {m:.2e} (tol {tol:g})"),
           (dict(alphas=(2.0,), axis=(-2.0, 0.5, 1.0), tol=1e-12), dict(tol=1e-12)),
           (dict(alphas=(0.5, 2.0), axis=DEFAULT_GRID_AXIS, tol=1e-12), dict(tol=1e-12))),
-    # char_fn_gf, sweep's route wherever its domain holds, against the
+    # the contour routes, char_fn_gf and exact_covariance, against the
     # recursion to n = 8192 and, as n (f_n - phi), out to n = 1e7
     Check("gf_route", gf_route_gaps, _gf_route,
           full=(dict(alphas=(0.5, 2.0), ns=(16, 256, 4096, 8192), axis=DEFAULT_GRID_AXIS,
-                     far_ns=(10 ** 5, 10 ** 6, 10 ** 7)), dict(gap_tol=1e-12, drift_tol=2e-5))),
+                     far_ns=(10 ** 5, 10 ** 6, 10 ** 7)),
+                dict(gap_tol=1e-12, drift_tol=2e-5, covariance_tol=1e-12))),
     Check("critical_convergence", sweep_sup_errors, _sweep_convergence,
           full=(dict(regimes=(RegimeSpec.critical(0.5), RegimeSpec.critical(2.0)), ns=_NS,
                      axis=DEFAULT_GRID_AXIS), dict(tol=5e-2))),

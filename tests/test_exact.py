@@ -10,6 +10,7 @@ from stickywalk.exact import (
     CouplingVariant,
     brute_force_char,
     brute_force_h,
+    char_fn,
     char_fn_exact,
     char_fn_gf,
     diag_fourier_sequence,
@@ -18,12 +19,10 @@ from stickywalk.exact import (
     gf_closed_form,
     gf_domain_error,
     gf_h0_reciprocal,
-    gf_series,
-    series_truncation,
 )
 from stickywalk.harness import oracle_gaps
 from stickywalk.kernel import StickinessParam
-from stickywalk.limits import RegimeSpec, limit_cf
+from stickywalk.limits import RegimeSpec, covariance_limit, limit_cf
 
 from oracles import literal_endpoint_law, per_angle_h_sequence
 
@@ -202,13 +201,23 @@ def test_diag_occupation_examples():
 def test_exact_covariance_examples():
     for n in (0, 1, 10, 200):
         assert exact_covariance(StickinessParam(0.0), n) == 0.0
+    for n in (0, 1, 10):  # below 16: the recursion's sum
         assert exact_covariance(U2, n) == float(n)
+    # on the contour; 1e-12 relative is the bound on covariance rows
+    assert exact_covariance(U2, 200) == pytest.approx(200.0, rel=1e-12, abs=0.0)
     p = StickinessParam(2.0)
     for n in (1, 4, 8, 12):
         table = endpoint_distribution(p.delta, n)
         coords = np.arange(-n, n + 1, dtype=float)
         want = float(coords @ table @ coords)
         assert exact_covariance(p, n) == pytest.approx(want, abs=1e-12)
+
+
+def test_exact_covariance_at_1e8():
+    # past the h recursion's budget: [z^n] of (u - 1) z H(0, 0, z) / (1 - z)
+    n = 10 ** 8
+    value = exact_covariance(StickinessParam(2.0 * math.sqrt(n)), n) / n
+    assert abs(value - covariance_limit(2.0)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +349,23 @@ def test_char_fn_gf_refuses_outside_its_domain():
         char_fn_gf(p, [0.1, 0.2], [0.3], 64)
 
 
+def test_char_fn_takes_the_contour_inside_its_domain_only():
+    p = StickinessParam(3.0)
+    s, t = np.array([0.1, -0.4]), np.array([0.2, 0.3])
+    for n in (16, 64, 10 ** 6):
+        assert char_fn(p, s, t, n).tobytes() == char_fn_gf(p, s, t, n).tobytes()
+    assert char_fn(p, 0.1, 0.2, 10 ** 6) == char_fn_gf(p, 0.1, 0.2, 10 ** 6)
+    # below n = 16, and at rho = 1 (s + t = pi), the recursion answers
+    for a, b, n in ((0.1, 0.2, 0), (0.1, 0.2, 15), (math.pi / 2, math.pi / 2, 64)):
+        assert char_fn(p, [0.0, a], [0.0, b], n).tobytes() == \
+            char_fn_exact(p, [0.0, a], [0.0, b], n).tobytes()
+    with pytest.raises(ValueError, match="finite"):
+        char_fn(p, math.nan, 0.1, 64)
+    for n in (8, 64):  # the same refusal on either side of n = 16
+        with pytest.raises(ValueError, match="equal-length"):
+            char_fn(p, [0.1, 0.2], [0.3, 0.1, 0.2], n)
+
+
 def test_char_fn_gf_complements_at_1e8():
     # n (f_n - phi) has a limit whose sup over the default grid is 0.174 at
     # alpha = 2 (0.17399 from the recursion at n = 8192); with the naive
@@ -445,8 +471,8 @@ def test_brute_force_capacity():
 @pytest.mark.parametrize("call", [
     lambda p: diag_fourier_sequence(p.u, 0.1, 2**15 + 1),
     lambda p: char_fn_exact(p, 0.1, 0.1, 10**6),
-    lambda p: exact_covariance(p, 10**6),
-    lambda p: gf_series(p, 0.1, 0.99999, 0, series_truncation(0.99999, 1e-12)),
+    # s + t = pi: rho = 1, outside the contour's domain, so char_fn runs the recursion
+    lambda p: char_fn(p, math.pi / 2, math.pi / 2, 10**6),
 ])
 def test_h_recursion_capacity(call):
     # O(n^2) work: refused up front instead of running for minutes
@@ -507,28 +533,34 @@ def test_gf_printed_form_matches_rearrangement():
         assert gf_h0_reciprocal(p, t, z) == pytest.approx(printed, abs=1e-13)
 
 
-def test_gf_closed_vs_series_with_tail_bound():
+def test_gf_closed_form_coefficients_match_recursion():
+    # [z^n] H(j, t, z) read off the contour is h(j, t, n); at t = 2,
+    # rho = sin^2(1) and rho^96 = 4e-15 keeps the contour's error below 1e-13
     for delta in (0.5, 1.0, 5.0):
         p = StickinessParam(delta)
-        for z in (0.3, 0.6, 0.9):
-            N = series_truncation(z, 1e-13)
-            for t in (0.0, 0.5, 2.0):
-                for j in (0, 1, 2, 5):
-                    closed = gf_closed_form(p, t, z, j)
-                    series = gf_series(p, t, z, j, N)
-                    assert abs(closed - series) <= z ** (N + 1) / (1.0 - z) + 1e-12
+        for n in (96, 200):
+            for j in (0, 1, 2, 5):
+                h = diag_fourier_sequence(p.u, [0.0, 0.5, 2.0], n, j=j)[:, n]
+                for t, want in zip((0.0, 0.5, 2.0), h.tolist()):
+                    got = exact._zn_coefficient(
+                        lambda z, one_minus_z: gf_closed_form(p, t, z, j, one_minus_z), n)
+                    assert abs(got - want) <= 1e-12, (delta, n, t, j)
 
 
-def test_gf_series_examples():
-    p = StickinessParam(1.0)
-    assert gf_series(p, 0.9, 0.5, 0, 0) == 1.0
-    # tail below double precision: series equals closed form outright
-    assert gf_series(p, 0.5, 0.3, 0, 60) == pytest.approx(
-        gf_closed_form(p, 0.5, 0.3, 0), abs=1e-13
-    )
-    assert gf_series(p, 0.5, 0.5, 2, 80) == pytest.approx(
-        gf_closed_form(p, 0.5, 0.5, 2), abs=1e-12
-    )
+def test_gf_closed_form_complex_arrays():
+    # the complex path continues the real one: equal at real z, and
+    # conjugate off the real axis, away from the cuts
+    p = StickinessParam(3.0)
+    z = np.array([0.2, 0.7, 0.999])
+    for t in (0.0, 0.4, 2.5):
+        for j in (0, 1, 4):
+            got = gf_closed_form(p, t, z.astype(complex), j)
+            assert got.shape == (3,) and got.dtype == np.complex128
+            for value, b in zip(got, z.tolist()):
+                assert value == pytest.approx(gf_closed_form(p, t, b, j), rel=1e-12)
+            w = np.array([2.0 + 1.5j, -3.0 + 0.1j, 0.5 - 4j])
+            assert np.allclose(gf_closed_form(p, t, w.conjugate(), j),
+                               gf_closed_form(p, t, w, j).conjugate(), rtol=1e-13, atol=0.0)
 
 
 def _assert_geometric_ladder(p, t, z):
@@ -557,15 +589,3 @@ def test_gf_roots_property(z, t, delta):
 def test_gf_domain(z):
     with pytest.raises(ValueError):
         gf_closed_form(StickinessParam(1.0), 0.3, z, 0)
-
-
-def test_series_truncation_bound():
-    for z in (0.3, 0.6, 0.9, 0.99):
-        for tol in (1e-6, 1e-10, 1e-13):
-            N = series_truncation(z, tol)
-            assert z ** (N + 1) / (1.0 - z) <= tol
-            if N > 0:
-                assert z ** N / (1.0 - z) > tol
-    for tol in (0.0, -1e-10, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            series_truncation(0.5, tol)

@@ -165,9 +165,9 @@ def test_run_sweep_bytes_match_per_point_recursion(monkeypatch):
     config = SweepConfig(regime=RegimeSpec.critical(1.37), n_list=n_list,
                          grid=tuple((s, t) for s in axis for t in axis) + far, paths=300, seed=5)
     batched = write_report(run_sweep(config), fmt="csv")
-    monkeypatch.setattr(harness, "char_fn_gf", None)
+    monkeypatch.setattr(exact, "char_fn_gf", None)
     assert write_report(run_sweep(config), fmt="csv") == batched
-    monkeypatch.setattr(harness, "char_fn_exact", _per_point_char_fn)
+    monkeypatch.setattr(exact, "char_fn_exact", _per_point_char_fn)
     assert write_report(run_sweep(config), fmt="csv") == batched
 
 
@@ -397,7 +397,7 @@ def test_full_side_fails_on_nan_gap(monkeypatch):
 
 
 @pytest.mark.parametrize("target, measure", [
-    ("gf_series", lambda: harness.gf_gaps((0.5,), (0.3, 0.6), (0.0,), (0, 1))["margin"]),
+    ("gf_closed_form", lambda: harness.gf_gaps((0.5,), (96,), (0.0, 0.5), (0, 1))),
     ("ell_laplace_numeric", lambda: harness.ell_transform_gaps(
         ((1.0, 1.0, 1.0), (2.0, 2.0, 0.5)))["gap"]),
     ("exact_covariance", lambda: harness.covariance_gaps(
@@ -443,12 +443,6 @@ def test_cli_limit_cf(capsys):
     assert main(["limit-cf", "--regime", "super", "--s", "1", "--t", "-1"]) == 0
     assert float(capsys.readouterr().out.strip()) == 1.0
     _assert_usage_error(["limit-cf", "--s", "1", "--t", "1"])  # missing --regime
-
-
-def test_cli_gf_check(capsys):
-    assert main(["gf-check", "--delta", "1", "--t", "0.5", "--z", "0.6", "--j", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "OK" in out
 
 
 def test_cli_sweep_writes_csv(tmp_path, capsys):
@@ -533,9 +527,8 @@ def test_cli_config_unknown_key_exits_2(tmp_path, capsys):
     ["exact-cf", "--del", "2"],  # flags are not abbreviated
     # sweep and limit-cf have no --tol: the critical limit is a fixed contour
     ["limit-cf", "--regime", "critical", "--alpha", "1", "--s", "1", "--t", "1", "--tol", "nan"],
-    ["gf-check", "--tol", "nan"],
-    # an infinite tolerance: no bound on the series tail
-    ["gf-check", "--tol", "inf"],
+    ["gf-check", "--delta", "1", "--t", "0.5"],  # the subcommand is gone
+    ["exact-cf", "--n", "64", "--tol", "1e-12"],  # the contour has no tolerance to set
     ["limit-cf", "--regime", "critical", "--alpha", "0.3", "--s", "2.5", "--t", "2", "--tol", "inf"],
     ["sweep", "--regime", "critical", "--alpha", "0.3", "--n", "64", "--grid", "2", "--tol", "inf"],
     ["limit-cf", "--regime", "sub", "--alpha", "3"],  # --alpha would be ignored
@@ -581,7 +574,9 @@ def test_cli_non_finite_angle_exits_2(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["gf-check", "--z", "0.99999", "--tol", "1e-12"],  # O(N^2) series with N ~ 4e6
+    # s = pi: the pole 1 / (cos s cos t) at z = -1 gives rho = 1, outside the
+    # contour's domain, and the recursion refuses n over its budget
+    ["exact-cf", "--delta", "2", "--n", "65536", "--s", "3.141592653589793"],
     ["mc", "--n", "1000000", "--paths", "100000", "--out", "x.csv"],  # paths * n over 2**31
 ])
 def test_cli_over_budget_exits_2(argv, tmp_path, monkeypatch, capsys):
@@ -592,15 +587,38 @@ def test_cli_over_budget_exits_2(argv, tmp_path, monkeypatch, capsys):
 
 
 def test_cli_sweep_past_the_h_budget(capsys):
-    # sweep reads f off the generating function, with no n cap; exact-cf
+    # sweep and exact-cf read f off the generating function, with no n cap,
+    # wherever its domain holds; outside it (s + t = pi, rho = 1) exact-cf
     # runs the h recursion, whose budget still binds
     assert main(["sweep", "--regime", "critical", "--alpha", "2", "--n", "65536",
                  "--grid", "1"]) == 0
     header, row = capsys.readouterr().out.splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
     assert cells["error"] == "" and float(cells["err_exact_limit"]) < 1e-5
-    _assert_usage_error(["exact-cf", "--delta", "2", "--n", "65536", "--s", "0.1"])
+    assert main(["exact-cf", "--delta", "2", "--n", "65536", "--s", "0.1"]) == 0
+    want = char_fn_gf(StickinessParam(2.0), 0.1, 0.0, 65536).real
+    assert float(capsys.readouterr().out) == want
+    half_pi = "1.5707963267948966"
+    _assert_usage_error(["exact-cf", "--delta", "2", "--n", "65536", "--s", half_pi, "--t", half_pi])
     assert "budget" in capsys.readouterr().err
+
+
+def test_cli_covariance_past_the_h_budget(capsys):
+    # covariance reads E[x y] off its generating function at every n >= 16
+    assert main(["covariance", "--alpha", "2", "--n", "1000000,100000000"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert [row["n"] for row in rows] == ["1000000", "100000000"]
+    assert [row["error"] for row in rows] == ["", ""]
+
+
+def test_cli_sweep_bytes_pinned(tmp_path):
+    # the sweep CSV's bytes for one (config, seed), exact, limit and Monte Carlo columns
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--regime", "critical", "--alpha", "2", "--n", "256,1024",
+                 "--paths", "2000", "--seed", "7", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "839ce623a22a540aa00d309e03309e2afe2cc3c315b4dcb2aa8003f39a548474"
 
 
 def test_cli_far_critical_angle_prints_a_number(capsys):
@@ -627,7 +645,6 @@ def test_sweep_path_never_imports_scipy(tmp_path):
                          ["limit-cf", "--regime", "critical", "--alpha", "2", "--s", "1", "--t", "1"],
                          ["sweep", "--regime", "critical", "--alpha", "2", "--n", "16", "--grid=-4,4"],
                          ["covariance", "--alpha", "2", "--n", "16,64"],
-                         ["gf-check", "--delta", "1", "--t", "0.5", "--z", "0.6", "--j", "2"],
                          ["mc", "--delta", "2", "--n", "16", "--paths", "10", "--out", sys.argv[1]],
                          ["selftest"]):
                 assert stickywalk.cli.main(argv) == 0, argv
@@ -642,7 +659,7 @@ def test_sweep_path_never_imports_scipy(tmp_path):
 
 def test_cli_flags_only_where_used():
     for argv in (["exact-cf", "--format", "json"], ["mc", "--format", "json"],
-                 ["limit-cf", "--out", "x"], ["gf-check", "--out", "x"],
+                 ["limit-cf", "--out", "x"], ["exact-cf", "--out", "x"],
                  ["selftest", "--coupling", "paper"], ["sweep", "--workers", "2"],
                  ["covariance", "--workers", "2"], ["mc", "--workers", "2"]):
         _assert_usage_error(argv)
