@@ -21,9 +21,10 @@ Each metric also gets a verdict against its bound in the parent's
   its median, and not every change run beats every parent run;
 - ``within bound``: any other case.
 
-Before the first run it exits 2, naming the files, if ``BENCHMARK.json`` or
-any ``perfbench/*.py`` differs between the two checkouts, since each side
-runs its own copy.  Output is JSON on stdout or ``--out``.  Needs only the
+Before the first run it exits 2 if ``--pairs`` is below 2 (quartiles need
+two runs a side), and, naming the files, if ``BENCHMARK.json`` or any
+``perfbench/*.py`` differs between the two checkouts, since each side runs
+its own copy.  Output is JSON on stdout or ``--out``.  Needs only the
 standard library.
 """
 
@@ -110,6 +111,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
+    if args.pairs < 2:  # quartiles need at least two runs a side
+        parser.error(f"--pairs must be at least 2, got {args.pairs}")
     differ = benchmark_differences(args.parent, args.change)
     if differ:
         parser.error("the checkouts run different benchmarks: " + ", ".join(differ))

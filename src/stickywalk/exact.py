@@ -258,23 +258,22 @@ def char_fn_exact(
     s and t are two angles, giving a complex, or two equal-length sequences,
     giving a complex ndarray with one value per (s[i], t[i]); variant is one
     CouplingVariant, or a sequence of one per point.  Each call runs one h
-    recursion over the distinct s + t and caches nothing.  Cost is that
-    recursion (see diag_fourier_sequence) plus O(n) per point.  Non-finite
-    angles, or a variant sequence of the wrong length, raise ValueError.
+    recursion over every point's s + t (one column per distinct cosine) and
+    caches nothing.  Cost is that recursion (see diag_fourier_sequence) plus
+    O(n) per point.  Non-finite angles, or a variant sequence of the wrong
+    length, raise ValueError.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     scalar, s_list, t_list, variants = _cf_points(s, t, variant)
     values = np.ones(len(s_list), dtype=np.complex128)
     if n > 0 and s_list:
-        w = [a + b for a, b in zip(s_list, t_list)]
-        sums = list(dict.fromkeys(w))
-        h0 = dict(zip(sums, diag_fourier_sequence(p.u, sums, n - 1)))
+        h0 = diag_fourier_sequence(p.u, [a + b for a, b in zip(s_list, t_list)], n - 1)
         exponents = np.arange(n - 1, -1, -1, dtype=np.float64)
-        for i, (a, b, key, coupling) in enumerate(zip(s_list, t_list, w, variants)):
+        for i, (a, b, coupling) in enumerate(zip(s_list, t_list, variants)):
             cc = math.cos(a) * math.cos(b)
             c = coupling_coefficient(p, a, b, coupling)
-            values[i] = cc ** n + c * float((cc ** exponents) @ h0[key])
+            values[i] = cc ** n + c * float((cc ** exponents) @ h0[i])
     return complex(values[0]) if scalar else values
 
 
@@ -307,8 +306,9 @@ def gf_domain_error(s, t, n: int) -> str:
     power = float(rho[worst]) ** n
     if power <= _GF_MAX_RHO_POWER:
         return ""
-    return (f"rho^n = {power:.3g} > {_GF_MAX_RHO_POWER:g} at (s, t) = ({s_arr[worst]!r}, "
-            f"{t_arr[worst]!r}), n = {n}: F has a singularity on the negative z axis at "
+    s_worst, t_worst = float(s_arr[worst]), float(t_arr[worst])  # plain reprs, not np.float64
+    return (f"rho^n = {power:.3g} > {_GF_MAX_RHO_POWER:g} at (s, t) = ({s_worst!r}, "
+            f"{t_worst!r}), n = {n}: F has a singularity on the negative z axis at "
             f"|z| = 1/rho, where the contour's error is up to rho^n")
 
 

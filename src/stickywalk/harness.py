@@ -1,6 +1,9 @@
 """Experiment orchestration: regime sweeps, covariance runs, the cross-route
 measurements, and CHECKS, the one table of checks on them that the self-test
 (each check's quick side) and the acceptance suite (its full side) run.
+Each measurement returns named numbers, CHECKS holds every bound on them,
+and run_check decides every side by one rule: each bounded value is below
+its bound, or at most 0 where the bound is 0.
 
 Reports are plain rows of floats.  Output is deterministic byte-for-byte for
 a given (config, seed): Monte Carlo substreams are derived from
@@ -15,6 +18,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -294,18 +298,25 @@ def write_report(rows, out: str | Path | None = None, fmt: str = "csv") -> str:
 
 # ---------------------------------------------------------------------------
 # measurements: each cross-route check has one implementation here.  A
-# measurement returns the numbers a verdict is taken on; the table CHECKS
-# below pairs it with that verdict and with the parameters and tolerances of
-# its quick run (the self-test) and its full run (the acceptance suite).
+# measurement returns a flat dict of named numbers (ints for counts, floats
+# for gaps, tuples of floats for values shown only for information); the
+# table CHECKS below pairs it with the parameters and bounds of its quick run
+# (the self-test) and its full run (the acceptance suite).
 # ---------------------------------------------------------------------------
 
 def _worst(values, floor: float = 0.0) -> float:
     """Largest of floor and values, and NaN if any value is NaN.
 
     The built-in max drops a NaN that is not its first argument, so a NaN gap
-    would pass a ``<= tol`` verdict; np.max propagates it and the check fails.
+    would pass its bound; np.max propagates it and the check fails.
     """
     return float(np.max([floor, *values]))
+
+
+def _violations(values, holds) -> int:
+    """Consecutive pairs (a, b) of values where holds(a, b) is false; a NaN
+    makes every comparison false, so its steps count."""
+    return sum(not holds(a, b) for a, b in zip(values, values[1:]))
 
 
 def _grid_axes(axis) -> tuple[np.ndarray, np.ndarray]:
@@ -314,8 +325,9 @@ def _grid_axes(axis) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(values, values.size), np.tile(values, values.size)
 
 
-def oracle_gaps(deltas, ns, angles, js) -> tuple[float, float]:
-    """Worst |f - enumeration| and worst |h(j) - enumeration| (kernel coupling)."""
+def oracle_gaps(deltas, ns, angles, js) -> dict:
+    """Worst |f - enumeration| ("f") and worst |h(j) - enumeration| ("h"),
+    kernel coupling."""
     f_gaps, h_gaps = [], []
     s_grid, t_grid = _grid_axes(angles)
     for delta in deltas:
@@ -327,11 +339,11 @@ def oracle_gaps(deltas, ns, angles, js) -> tuple[float, float]:
             for j in js:
                 h = diag_fourier_sequence(p.u, angles, n, j=j)[:, n]
                 h_gaps += (abs(value - brute_force_h(p, j, t, n)) for t, value in zip(angles, h))
-    return _worst(f_gaps), _worst(h_gaps)
+    return {"f": _worst(f_gaps), "h": _worst(h_gaps)}
 
 
-def gf_gaps(deltas, ns, ts, js) -> float:
-    """Worst |[z^n] H(j, t, z) - h(j, t, n)| over the grid: gf_closed_form
+def gf_gaps(deltas, ns, ts, js) -> dict:
+    """"gap": worst |[z^n] H(j, t, z) - h(j, t, n)| over the grid, gf_closed_form
     read off the contour by exact's inversion against the h recursion.
 
     H(j, t, z) is singular on the negative z axis at the branch point
@@ -351,20 +363,26 @@ def gf_gaps(deltas, ns, ts, js) -> float:
                 for t, h in zip(ts, recursion.tolist()):
                     closed = _zn_coefficient(lambda z, omz: gf_closed_form(p, t, z, j, omz), n)
                     gaps.append(abs(closed - h))
-    return _worst(gaps)
+    return {"gap": _worst(gaps)}
 
 
-def variant_values(delta: float, s: float, t: float, n: int) -> dict:
-    """f at one point under both couplings, and its enumeration value."""
+def variant_values(delta: float, s: float, t: float, n: int, paper_exact: float,
+                   kernel_exact: float) -> dict:
+    """f at one point under both couplings and by enumeration, as distances:
+    the paper coupling's from paper_exact, the kernel's and the enumeration's
+    from kernel_exact, and the kernel's from the enumeration ("kernel_oracle")."""
     p = StickinessParam(delta)
     paper, kernel = char_fn_exact(p, [s, s], [t, t], n,
                                   [CouplingVariant.PAPER, CouplingVariant.KERNEL]).tolist()
-    return {"paper": paper, "kernel": kernel, "oracle": brute_force_char(p, s, t, n)}
+    oracle = brute_force_char(p, s, t, n)
+    return {"paper": abs(paper - paper_exact), "kernel": abs(kernel - kernel_exact),
+            "oracle": abs(oracle - kernel_exact), "kernel_oracle": abs(kernel - oracle)}
 
 
-def variant_sup_gaps(axis, ns) -> list[float]:
-    """Per n, sup over the axis x axis grid of |f_kernel - f_paper| at
-    delta = sqrt(n) and angles scaled by 1/sqrt(n)."""
+def variant_sup_gaps(axis, ns) -> dict:
+    """"sups": per n, sup over the axis x axis grid of |f_kernel - f_paper| at
+    delta = sqrt(n) and angles scaled by 1/sqrt(n); "not_decreasing": the
+    steps along ns where that sup does not fall."""
     sups = []
     s_grid, t_grid = _grid_axes(axis)
     couplings = [CouplingVariant.KERNEL] * s_grid.size + [CouplingVariant.PAPER] * s_grid.size
@@ -374,13 +392,13 @@ def variant_sup_gaps(axis, ns) -> list[float]:
         both = char_fn_exact(p, np.tile(s_grid / rn, 2), np.tile(t_grid / rn, 2), n, couplings)
         kernel, paper = np.split(both.real, 2)
         sups.append(_worst(np.abs(kernel - paper)))
-    return sups
+    return {"sups": tuple(sups), "not_decreasing": _violations(sups, operator.gt)}
 
 
 def ell_transform_gaps(triples) -> dict:
-    """Worst |Laplace transform of ell by quadrature (tol 1e-9) - closed-form
-    critical target| over (alpha, w, lam), and whether ell's complex and
-    degenerate branches were reached."""
+    """"gap": worst |Laplace transform of ell by quadrature (tol 1e-9) -
+    closed-form critical target| over (alpha, w, lam); "branches_missed": how
+    many of ell's complex and degenerate branches no triple reached."""
     gaps, saw_complex, saw_degenerate = [], False, False
     for alpha, w, lam in triples:
         params = limit_params(alpha, w)
@@ -388,15 +406,17 @@ def ell_transform_gaps(triples) -> dict:
         saw_degenerate = saw_degenerate or params.degenerate
         got = ell_laplace_numeric(alpha, w, lam, tol=1e-9)
         gaps.append(abs(got - laplace_target(RegimeSpec.critical(alpha), w, lam)))
-    return {"gap": _worst(gaps), "complex": saw_complex, "degenerate": saw_degenerate}
+    return {"gap": _worst(gaps), "branches_missed": (not saw_complex) + (not saw_degenerate)}
 
 
 def laplace_limit_errors(regimes, ns, pairs, density_pairs) -> dict:
-    """Per regime kind, |empirical Laplace transform at step n - closed-form
-    limit| as an array indexed [(w, lam) pair, n]; and ("density") the worst
+    """|empirical Laplace transform at step n - closed-form limit| over the
+    (w, lam) pairs: per regime kind, its worst over the pairs at each n; "gap",
+    the worst at the largest n over every regime; "not_decreasing", the steps
+    along ns where a pair's error does not fall.  "density": the worst
     |Laplace transform by quadrature (tol 1e-10) - closed form| of the sub- and
     supercritical densities over density_pairs."""
-    out = {}
+    out, last, not_decreasing = {}, [], 0
     for regime in regimes:
         errs = np.empty((len(pairs), len(ns)))
         for i, (w, lam) in enumerate(pairs):
@@ -406,15 +426,17 @@ def laplace_limit_errors(regimes, ns, pairs, density_pairs) -> dict:
                 if regime.kind == "subcritical":
                     emp *= math.sqrt(n) / delta
                 errs[i, k] = abs(emp - laplace_target(regime, w, lam))
-        out[regime.kind] = errs
+        out[regime.kind] = tuple(errs.max(axis=0).tolist())
+        last += errs[:, -1].tolist()
+        not_decreasing += sum(_violations(row, operator.gt) for row in errs.tolist())
     density = []
     for w, lam in density_pairs:
         sub = laplace_numeric(lambda x: subcritical_density(w, x), lam, tol=1e-10)
         sup = laplace_numeric(lambda x: supercritical_density(w, x), lam, tol=1e-10)
         density += (abs(sub - 1.0 / math.sqrt(4 * lam + w * w)),
                     abs(sup - 1.0 / (0.5 * w * w + lam)))
-    out["density"] = _worst(density)
-    return out
+    return {**out, "gap": _worst(last), "not_decreasing": not_decreasing,
+            "density": _worst(density)}
 
 
 def covariance_gaps(n: int, alphas, fd_alphas, limit_tol: float) -> dict:
@@ -436,12 +458,13 @@ def covariance_gaps(n: int, alphas, fd_alphas, limit_tol: float) -> dict:
     return {"gap": _worst(gaps), "routes": _worst(routes), "fd": _worst(fd_gaps)}
 
 
-def critical_route_gap(alphas, axis, tol: float) -> float:
-    """Worst |limit_cf (contour) - phi_critical (quadrature to tol)| over the
-    axis x axis grid at each critical alpha."""
+def critical_route_gap(alphas, axis, tol: float) -> dict:
+    """"gap": worst |limit_cf (contour) - phi_critical (quadrature to tol)|
+    over the axis x axis grid at each critical alpha."""
     s_grid, t_grid = _grid_axes(axis)
-    return _worst(abs(limit_cf(RegimeSpec.critical(alpha), s, t) - phi_critical(alpha, s, t, tol=tol))
-                  for alpha in alphas for s, t in zip(s_grid.tolist(), t_grid.tolist()))
+    return {"gap": _worst(abs(limit_cf(RegimeSpec.critical(alpha), s, t)
+                              - phi_critical(alpha, s, t, tol=tol))
+                          for alpha in alphas for s, t in zip(s_grid.tolist(), t_grid.tolist()))}
 
 
 def gf_route_gaps(alphas, ns, axis, far_ns) -> dict:
@@ -482,8 +505,8 @@ def gf_route_gaps(alphas, ns, axis, far_ns) -> dict:
             rm = math.sqrt(m)
             f_m = char_fn_gf(StickinessParam(alpha * rm), s_grid / rm, t_grid / rm, m).real
             drift += np.abs(m * (f_m - phi) - reference).tolist()
-    return {"gap": _worst(gaps), "outside": outside, "drift": _worst(drift), "scaled": scaled,
-            "covariance": _worst(covariance)}
+    return {"gap": _worst(gaps), "outside": outside, "drift": _worst(drift),
+            "scaled": tuple(scaled), "covariance": _worst(covariance)}
 
 
 def _off_parity(sample, n: int) -> int:
@@ -494,9 +517,9 @@ def _off_parity(sample, n: int) -> int:
 def mc_agreement(delta: float, n: int, paths: int, seed: int, axis, k_sigma: float) -> dict:
     """Monte Carlo vs exact f on the axis x axis grid, angles scaled by 1/sqrt(n).
 
-    "within" counts grid points with |f_mc - f_exact| <= k_sigma * stderr (a
-    NaN on either side is not within); "off_parity" counts endpoints whose
-    parity differs from n's.
+    "outside" is the fraction of the grid's "points" with |f_mc - f_exact| not
+    within k_sigma * stderr (a NaN on either side is outside); "off_parity"
+    counts endpoints whose parity differs from n's.
     """
     p = StickinessParam(delta)
     sample = simulate_endpoints(p, n, paths, seed)
@@ -507,7 +530,9 @@ def mc_agreement(delta: float, n: int, paths: int, seed: int, axis, k_sigma: flo
     for s, t, f_exact in zip(s_grid.tolist(), t_grid.tolist(), exact.tolist()):
         mean, stderr = _mean_stderr(np.cos((s * sample.x + t * sample.y) / rn))
         within += abs(mean - f_exact) <= k_sigma * stderr
-    return {"within": within, "points": len(axis) ** 2, "off_parity": _off_parity(sample, n)}
+    points = s_grid.size
+    return {"points": points, "outside": (points - within) / points,
+            "off_parity": _off_parity(sample, n)}
 
 
 def worst_relative_error(fn, table) -> float:
@@ -515,19 +540,24 @@ def worst_relative_error(fn, table) -> float:
     return _worst(abs(fn(x) - want) / abs(want) for x, want in table)
 
 
-def sweep_sup_errors(regimes, ns, axis) -> dict[str, list[float]]:
+def sweep_sup_errors(regimes, ns, axis) -> dict:
     """Per regime, the sup over the axis x axis grid of run_sweep's
-    |f_exact - f_limit| at each n; a row that failed raises its error."""
+    |f_exact - f_limit| at each n; "gap", the worst of those sups at the
+    largest n; "rises", the steps along ns where a regime's sup grows.  A row
+    that failed raises its error."""
     grid = tuple(itertools.product(axis, axis))
-    out = {}
+    out, last, rises = {}, [], 0
     for regime in regimes:
         rows = run_sweep(SweepConfig(regime=regime, n_list=ns, grid=grid))
         failed = [row.error for row in rows if row.error]
         if failed:
             raise RuntimeError(failed[0])
         label = f"alpha={regime.alpha}" if regime.kind == "critical" else regime.kind
-        out[label] = [_worst(row.err_exact_limit for row in rows if row.n == n) for n in ns]
-    return out
+        sups = [_worst(row.err_exact_limit for row in rows if row.n == n) for n in ns]
+        out[label] = tuple(sups)
+        last.append(sups[-1])
+        rises += _violations(sups, operator.ge)
+    return {**out, "gap": _worst(last), "rises": rises}
 
 
 def special_function_errors(alphas, ws, xs, zs) -> dict:
@@ -565,9 +595,9 @@ def _kernel_unit(row_deltas, delta: float, n: int, paths: int, seed: int) -> dic
     rows = [(p.u / 4, p.u / 4, p.two_minus_u / 4, p.two_minus_u / 4)
             for p in map(StickinessParam, row_deltas)]
     return {
-        "u_exact": _worst((abs(stickiness_u(0.0) - 1.0), abs(stickiness_u(2.0) - 1.5))),
+        "u_exact": int(stickiness_u(0.0) != 1.0) + int(stickiness_u(2.0) != 1.5),
         "u_limit": abs(stickiness_u(1e12) - 2.0),
-        "probs_in_range": all(0.0 <= q <= 0.5 for row in rows for q in row),
+        "probs_outside": sum(not 0.0 <= q <= 0.5 for row in rows for q in row),
         "row_sum": _worst(abs(sum(row) - 1.0) for row in rows),
         "off_parity": _off_parity(simulate_endpoints(StickinessParam(delta), n, paths, seed), n),
     }
@@ -575,15 +605,18 @@ def _kernel_unit(row_deltas, delta: float, n: int, paths: int, seed: int) -> dic
 
 def _kernel_statistics(delta: float, n: int, paths: int, seed: int) -> dict:
     sample = simulate_endpoints(StickinessParam(delta), n, paths, seed=seed)
-    splits = int(np.sum(sample.x > sample.y)), int(np.sum(sample.y > sample.x))
+    x_above, y_above = int(np.sum(sample.x > sample.y)), int(np.sum(sample.y > sample.x))
     return {
         "mean_sigmas": _worst(abs(c.mean()) for c in (sample.x, sample.y)) / math.sqrt(n / paths),
-        "splits": splits,
-        "split_sigmas": abs(splits[0] - splits[1]) / math.sqrt(max(sum(splits), 1)),
+        "x_above": x_above,
+        "y_above": y_above,
+        "split_sigmas": abs(x_above - y_above) / math.sqrt(max(x_above + y_above, 1)),
     }
 
 
 def _normalization_symmetry(deltas) -> dict:
+    # f00 and imag collect booleans (f(0,0) != 1, a nonzero imaginary part),
+    # and become counts; every other key is a worst gap
     out = {key: [] for key in ("f00", "occ_outside", "mass", "imag", "exchange", "h_max")}
     for delta in deltas:
         p = StickinessParam(delta)
@@ -594,14 +627,15 @@ def _normalization_symmetry(deltas) -> dict:
             hj = [diag_fourier_sequence(p.u, 0.0, n, j=j)[n] for j in range(n + 1)]
             out["mass"].append(abs(hj[0] + 2.0 * sum(hj[1:]) - 1.0))
         f00 = char_fn_exact(p, [0.0, 0.0], [0.0, 0.0], 23, list(CouplingVariant))
-        out["f00"] += np.abs(f00 - 1.0).tolist()
+        out["f00"] += (f00 != 1.0).tolist()
         # each (s, t) under each coupling, then the same points exchanged
         s, t, c = zip(*((s, t, c) for c in CouplingVariant for s, t in ((0.3, -1.2), (2.0, 0.7))))
         f, exchanged = np.split(char_fn_exact(p, s + t, t + s, 17, c + c), 2)
-        out["imag"] += np.abs(f.imag).tolist()
+        out["imag"] += (f.imag != 0.0).tolist()
         out["exchange"] += np.abs(f - exchanged).tolist()
         out["h_max"].append(float(np.max(np.abs(diag_fourier_sequence(p.u, 1.1, 64)))))
-    return {key: _worst(values) for key, values in out.items()}
+    return {key: sum(values) if key in ("f00", "imag") else _worst(values)
+            for key, values in out.items()}
 
 
 def _quadrature_order(tols) -> dict:
@@ -617,51 +651,21 @@ def _quadrature_order(tols) -> dict:
 # ---------------------------------------------------------------------------
 
 class Check(NamedTuple):
-    """One check: a measurement, the verdict on what it returns, and its runs.
+    """One check: a measurement and the bounds on what it returns, per run.
 
-    ``verdict(measured, **tol)`` returns (passed, detail).  ``quick`` (run by
-    the self-test) and ``full`` (run by the acceptance suite) are each
-    (measurement kwargs, tol kwargs), or None where that run has no such check.
+    ``measure(**params)`` returns a flat dict of named numbers.  ``quick``
+    (run by the self-test) and ``full`` (run by the acceptance suite) are each
+    (params, bounds), or None where that run has no such check; bounds maps
+    some of the measured keys to numbers, which run_check holds them under.
     Four entries are quick-only invariants (kernel_unit, kernel_statistics,
     normalization_symmetry, quadrature_order); every other quick side is the
     quick run of an entry the acceptance suite runs in full.
     """
 
     name: str
-    measure: Callable
-    verdict: Callable[..., tuple[bool, str]]
+    measure: Callable[..., dict]
     quick: tuple[dict, dict] | None = None
     full: tuple[dict, dict] | None = None
-
-
-def _laplace_limits(m, tol):
-    # m[kind][pair, n]: each pair's error falls with n, and is <= tol at the last n
-    limits = {kind: errs for kind, errs in m.items() if kind != "density"}
-    ok = m["density"] < 1e-8 and all(errs[:, -1].max() <= tol
-                                     and np.all(np.diff(errs, axis=1) < 0.0)
-                                     for errs in limits.values())
-    return ok, ("; ".join(f"{kind}: " + " -> ".join(f"{v:.4f}" for v in errs.max(axis=0))
-                          for kind, errs in limits.items())
-                + f" (tol {tol:g} at the largest n, decreasing); "
-                f"density identities {m['density']:.2e} (tol 1e-08)")
-
-
-def _gf_route(m, gap_tol, drift_tol, covariance_tol):
-    ok = m["gap"] <= gap_tol and m["drift"] <= drift_tol and m["covariance"] <= covariance_tol
-    return ok, (f"worst |char_fn_gf - recursion| = {m['gap']:.2e} (tol {gap_tol:g}; "
-                f"{m['outside']} (alpha, n, point) outside its domain skipped); worst drift of "
-                f"n (f_n - phi) from the recursion's = {m['drift']:.2e} (tol {drift_tol:g}); "
-                "n sup|f_n - phi| = " + ", ".join(f"{v:.4f}" for v in m["scaled"])
-                + f"; worst relative |exact_covariance - recursion| = {m['covariance']:.2e} "
-                f"(tol {covariance_tol:g})")
-
-
-def _sweep_convergence(m, tol):
-    ok = all(sups[-1] <= tol and all(b <= a for a, b in zip(sups, sups[1:]))
-             for sups in m.values())
-    return ok, ("; ".join(f"{label}: " + " -> ".join(f"{v:.2e}" for v in sups)
-                          for label, sups in m.items())
-                + f" (<= {tol:g} at the largest n, nonincreasing)")
 
 
 # delta_n = 2 n^(1/4) for the subcritical Laplace limit: the convergence error
@@ -670,138 +674,128 @@ def _sweep_convergence(m, tol):
 _LAPLACE_REGIMES = (RegimeSpec.subcritical(coeff=2.0), RegimeSpec.critical(2.0),
                     RegimeSpec.supercritical())
 # delta = 0, so u = 1: one step at s = t = pi/2 tells the two couplings apart
-_U1_POINT = (dict(delta=0.0, s=math.pi / 2, t=math.pi / 2, n=1), dict(tol=1e-12))
+_U1_POINT = (dict(delta=0.0, s=math.pi / 2, t=math.pi / 2, n=1, paper_exact=-0.5,
+                  kernel_exact=0.0),
+             dict(paper=1e-12, kernel=1e-12, oracle=1e-12, kernel_oracle=1e-12))
 _NS = (256, 1024, 4096)
 _ERFCX_POINTS = dict(xs=tuple(np.linspace(0.0, 5.0, 21)), zs=(1 + 2j, -0.5 + 3j, 4 - 1j))
-_SPECIAL_TOL = dict(erfc_tol=1e-13, strip_tol=1e-8, origin_tol=1e-8)
+_SPECIAL_BOUNDS = dict(erfc=1e-13, strip=1e-8, scaling=1e-12, real_axis=1e-10,
+                       conjugation=1e-10, origin=1e-8, seam=1e-4)
 _LAPLACE_PAIRS = tuple(itertools.product((0.0, 1.0, 2.0), (0.5, 1.0, 2.0)))
 
 CHECKS: tuple[Check, ...] = (
     Check("kernel_unit", _kernel_unit,
-          lambda m: (m["u_exact"] == 0.0 and m["u_limit"] < 1e-11 and m["probs_in_range"]
-                     and m["row_sum"] < 1e-15 and m["off_parity"] == 0,
-                     "u map, kernel row sums, parity"),
-          (dict(row_deltas=(0.0, 0.3, 1.0, 10.0, 1e6), delta=1.0, n=33, paths=500, seed=11), {})),
+          (dict(row_deltas=(0.0, 0.3, 1.0, 10.0, 1e6), delta=1.0, n=33, paths=500, seed=11),
+           dict(u_exact=0, u_limit=1e-11, probs_outside=0, row_sum=1e-15, off_parity=0))),
     Check("kernel_statistics", _kernel_statistics,
-          lambda m: (m["mean_sigmas"] <= 4.0 and m["split_sigmas"] <= 4.0,
-                     "marginal means, exchange symmetry "
-                     f"({m['splits'][0]} vs {m['splits'][1]} splits)"),
-          (dict(delta=2.0, n=64, paths=20000, seed=7), {})),
+          (dict(delta=2.0, n=64, paths=20000, seed=7), dict(mean_sigmas=4.0, split_sigmas=4.0))),
     Check("oracle_equivalence", oracle_gaps,
-          lambda m, tol: (m[0] < tol and m[1] < tol,
-                          f"worst |f-enum| = {m[0]:.2e}, worst |h-enum| = {m[1]:.2e} "
-                          f"(tol {tol:g})"),
           (dict(deltas=(0.0, 1.0, 5.0), ns=(1, 3, 6, 8), angles=(-2.0, 0.4, 1.9), js=(0, 1, 3)),
-           dict(tol=1e-12)),
+           dict(f=1e-12, h=1e-12)),
           (dict(deltas=(0.0, 0.5, 1.0, 5.0, 50.0), ns=(1, 2, 3, 4, 6, 9, 12),
                 angles=tuple(np.linspace(-math.pi, math.pi, 5)), js=(0, 1, 2, 5)),
-           dict(tol=1e-12))),
-    Check("variant_discrimination", variant_values,
-          lambda m, tol: (all(abs(v) < tol for v in (m["paper"] + 0.5, m["kernel"], m["oracle"],
-                                                     m["kernel"] - m["oracle"])),
-                          f"finite-n divergence at u=1: paper {m['paper'].real:+.2f} vs oracle "
-                          f"{m['oracle'].real:+.2f} (tol {tol:g})"),
-          _U1_POINT, _U1_POINT),
+           dict(f=1e-12, h=1e-12))),
+    Check("variant_discrimination", variant_values, _U1_POINT, _U1_POINT),
     Check("variant_asymptotics", variant_sup_gaps,
-          lambda m: (all(a > b for a, b in zip(m, m[1:])),
-                     "scaled sup gaps " + " > ".join(f"{v:.2e}" for v in m)),
-          (dict(axis=(-2.0, -0.5, 1.0, 2.0), ns=_NS), {}),
-          (dict(axis=DEFAULT_GRID_AXIS, ns=_NS), {})),
+          (dict(axis=(-2.0, -0.5, 1.0, 2.0), ns=_NS), dict(not_decreasing=0)),
+          (dict(axis=DEFAULT_GRID_AXIS, ns=_NS), dict(not_decreasing=0))),
     Check("normalization_symmetry", _normalization_symmetry,
-          lambda m: (m["f00"] == 0.0 and m["occ_outside"] <= 0.0 and m["mass"] < 1e-12
-                     and m["imag"] == 0.0 and m["exchange"] < 1e-12 and m["h_max"] <= 1.0 + 1e-12,
-                     "f(0,0)=1, exchange symmetry (both couplings), |h|<=1, mirrored mass 1"),
-          (dict(deltas=(0.0, 1.5, 20.0)), {})),
+          (dict(deltas=(0.0, 1.5, 20.0)),
+           dict(f00=0, occ_outside=0, mass=1e-12, imag=0, exchange=1e-12, h_max=1.0 + 1e-12))),
     Check("gf_identity", gf_gaps,
-          lambda m, tol: (m <= tol, f"[z^n] of the closed form on the contour vs the recursion, "
-                                    f"worst gap {m:.2e} (tol {tol:g})"),
-          (dict(deltas=(0.5, 3.0), ns=(96,), ts=(0.0, 0.5, 2.0), js=(0, 1, 2, 5)), dict(tol=1e-12)),
+          (dict(deltas=(0.5, 3.0), ns=(96,), ts=(0.0, 0.5, 2.0), js=(0, 1, 2, 5)), dict(gap=1e-12)),
           (dict(deltas=(0.5, 1.0, 3.0, 5.0), ns=(96, 128, 512), ts=(0.0, 0.5, 2.0),
-                js=(0, 1, 2, 5)), dict(tol=1e-12))),
+                js=(0, 1, 2, 5)), dict(gap=1e-12))),
     Check("special_functions", special_function_errors,
-          lambda m, erfc_tol, strip_tol, origin_tol: (
-              m["erfc"] <= erfc_tol and m["strip"] <= strip_tol and m["origin"] < origin_tol
-              and m["scaling"] < 1e-12 and m["real_axis"] < 1e-10 and m["conjugation"] <= 1e-10
-              and m["seam"] < 1e-4,
-              f"erfc rel err {m['erfc']:.2e} (tol {erfc_tol:g}); erfcx strip rel err "
-              f"{m['strip']:.2e} (tol {strip_tol:g}); "
-              f"|ell(0) - 1| {m['origin']:.2e} (tol {origin_tol:g}); erfcx scaling, "
-              "real axis and conjugation; ell real at x = 3.7 and continuous across the seam"),
-          (dict(alphas=(0.5, 1.0, 2.0), ws=(0.0, 1.0, 2.0, 4.0), **_ERFCX_POINTS), _SPECIAL_TOL),
+          (dict(alphas=(0.5, 1.0, 2.0), ws=(0.0, 1.0, 2.0, 4.0), **_ERFCX_POINTS), _SPECIAL_BOUNDS),
           (dict(alphas=(0.5, 1.0, 2.0, 8.0), ws=(0.0, 1.0, 2.0, 4.0), **_ERFCX_POINTS),
-           _SPECIAL_TOL)),
+           _SPECIAL_BOUNDS)),
     Check("ell_transform", ell_transform_gaps,
-          lambda m, tol: (m["gap"] < tol and m["complex"] and m["degenerate"],
-                          f"worst |quad - closed form| = {m['gap']:.2e} (tol {tol:g}; "
-                          f"complex branch: {m['complex']}, degenerate: {m['degenerate']})"),
-          (dict(triples=((1.0, 1.0, 1.0), (2.0, 2.0, 0.5), (1.0, 2.0, 1.0))), dict(tol=1e-6)),
+          (dict(triples=((1.0, 1.0, 1.0), (2.0, 2.0, 0.5), (1.0, 2.0, 1.0))),
+           dict(gap=1e-6, branches_missed=0)),
           (dict(triples=tuple(itertools.product((0.5, 1.0, 2.0), (0.0, 1.0, 2.0),
-                                                (0.5, 1.0, 2.0)))), dict(tol=1e-6))),
-    Check("laplace_limits", laplace_limit_errors, _laplace_limits,
+                                                (0.5, 1.0, 2.0)))),
+           dict(gap=1e-6, branches_missed=0))),
+    Check("laplace_limits", laplace_limit_errors,
           (dict(regimes=_LAPLACE_REGIMES, ns=(10 ** 4, 10 ** 8), pairs=((0.0, 0.5), (2.0, 2.0)),
-                density_pairs=((0.0, 1.0), (2.0, 0.5))), dict(tol=1e-2)),
+                density_pairs=((0.0, 1.0), (2.0, 0.5))),
+           dict(gap=1e-2, not_decreasing=0, density=1e-8)),
           (dict(regimes=_LAPLACE_REGIMES, ns=(10 ** 4, 10 ** 8), pairs=_LAPLACE_PAIRS,
-                density_pairs=_LAPLACE_PAIRS), dict(tol=1e-2))),
+                density_pairs=_LAPLACE_PAIRS), dict(gap=1e-2, not_decreasing=0, density=1e-8))),
     Check("quadrature_order", _quadrature_order,
-          lambda m: (m["worst_rise"] <= 1e-15, "error nonincreasing as tol halves"),
-          (dict(tols=(1e-4, 5e-5, 2.5e-5, 1.25e-5)), {})),
+          (dict(tols=(1e-4, 5e-5, 2.5e-5, 1.25e-5)), dict(worst_rise=1e-15))),
     Check("critical_routes", critical_route_gap,
-          lambda m, tol: (m <= tol, f"worst |contour - phi_critical| = {m:.2e} (tol {tol:g})"),
-          (dict(alphas=(2.0,), axis=(-2.0, 0.5, 1.0), tol=1e-12), dict(tol=1e-12)),
-          (dict(alphas=(0.5, 2.0), axis=DEFAULT_GRID_AXIS, tol=1e-12), dict(tol=1e-12))),
+          (dict(alphas=(2.0,), axis=(-2.0, 0.5, 1.0), tol=1e-12), dict(gap=1e-12)),
+          (dict(alphas=(0.5, 2.0), axis=DEFAULT_GRID_AXIS, tol=1e-12), dict(gap=1e-12))),
     # the contour routes, char_fn_gf and exact_covariance, against the
     # recursion to n = 8192 and, as n (f_n - phi), out to n = 1e7
-    Check("gf_route", gf_route_gaps, _gf_route,
+    Check("gf_route", gf_route_gaps,
           full=(dict(alphas=(0.5, 2.0), ns=(16, 256, 4096, 8192), axis=DEFAULT_GRID_AXIS,
                      far_ns=(10 ** 5, 10 ** 6, 10 ** 7)),
-                dict(gap_tol=1e-12, drift_tol=2e-5, covariance_tol=1e-12))),
-    Check("critical_convergence", sweep_sup_errors, _sweep_convergence,
+                dict(gap=1e-12, drift=2e-5, covariance=1e-12))),
+    Check("critical_convergence", sweep_sup_errors,
           full=(dict(regimes=(RegimeSpec.critical(0.5), RegimeSpec.critical(2.0)), ns=_NS,
-                     axis=DEFAULT_GRID_AXIS), dict(tol=5e-2))),
-    Check("sub_super_convergence", sweep_sup_errors, _sweep_convergence,
+                     axis=DEFAULT_GRID_AXIS), dict(gap=5e-2, rises=0))),
+    Check("sub_super_convergence", sweep_sup_errors,
           full=(dict(regimes=(RegimeSpec.subcritical(), RegimeSpec.supercritical()), ns=_NS,
-                     axis=DEFAULT_GRID_AXIS), dict(tol=5e-2))),
+                     axis=DEFAULT_GRID_AXIS), dict(gap=5e-2, rises=0))),
     Check("covariance_consistency", covariance_gaps,
-          lambda m, gap_tol, fd_tol, route_tol: (
-              m["gap"] < gap_tol and m["fd"] < fd_tol and m["routes"] <= route_tol,
-              f"worst |n^-1 cov - limit| = {m['gap']:.2e} (tol {gap_tol:g}); "
-              f"worst |d2phi/dsdt + limit| = {m['fd']:.2e} (tol {fd_tol:g}); "
-              f"worst |contour - quadrature| = {m['routes']:.2e} (tol {route_tol:g})"),
           (dict(n=2000, alphas=(1.0, 2.0), fd_alphas=(1.0,), limit_tol=1e-12),
-           dict(gap_tol=1e-3, fd_tol=1e-4, route_tol=1e-12)),
+           dict(gap=1e-3, fd=1e-4, routes=1e-12)),
           (dict(n=10 ** 4, alphas=(0.5, 1.0, 2.0, 8.0), fd_alphas=(0.5, 1.0, 2.0, 8.0),
-                limit_tol=1e-12), dict(gap_tol=2e-2, fd_tol=1e-4, route_tol=1e-12))),
+                limit_tol=1e-12), dict(gap=2e-2, fd=1e-4, routes=1e-12))),
     Check("mc_agreement", mc_agreement,
-          lambda m, min_fraction: (
-              m["within"] / m["points"] >= min_fraction and m["off_parity"] == 0,
-              f"{m['within']}/{m['points']} grid points within k_sigma stderr "
-              f"({m['within'] / m['points']:.1%}, need {min_fraction:.0%}); "
-              f"{m['off_parity']} endpoints off parity"),
           (dict(delta=2.0 * math.sqrt(256), n=256, paths=20000, seed=20250809,
-                axis=(-1.0, 0.5, 2.0), k_sigma=5.0), dict(min_fraction=1.0)),
+                axis=(-1.0, 0.5, 2.0), k_sigma=5.0), dict(outside=0, off_parity=0)),
           (dict(delta=2.0 * math.sqrt(1024), n=1024, paths=10 ** 5, seed=20250809,
-                axis=DEFAULT_GRID_AXIS, k_sigma=4.0), dict(min_fraction=0.99))),
+                axis=DEFAULT_GRID_AXIS, k_sigma=4.0), dict(outside=0.01, off_parity=0))),
 )
 
 
+def _holds(value, bound) -> bool:
+    """The one verdict rule: value < bound, or value <= 0 where the bound is
+    0 (so a count or a nonnegative gap may be exactly 0); a NaN fails."""
+    return value < bound or (bound == 0 and value <= 0)
+
+
+def _shown(value) -> str:
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(_shown, value)) + ")"
+    return f"{value:.3g}" if isinstance(value, float) else str(value)
+
+
+def _bound_text(bound) -> str:
+    if bound is None:
+        return ""
+    return " (<= 0)" if bound == 0 else f" (< {bound!r})"
+
+
 def run_check(check: Check, side: str) -> tuple[bool, str]:
-    """Run the "quick" or "full" side of a check: (passed, detail).  A failed
-    verdict's detail ends with the measured value; an exception fails it."""
-    params, tol = getattr(check, side)
+    """Run the "quick" or "full" side of a check: (passed, detail).
+
+    The side passes when every bounded value holds under _holds; an
+    exception fails it, a bound on a key the measurement lacks included.  The
+    detail lists every measured key in order as "key = value", each bounded
+    one followed by its bound.
+    """
+    params, bounds = getattr(check, side)
     try:
         measured = check.measure(**params)
-        ok, detail = check.verdict(measured, **tol)
-        if not ok:
-            detail = f"{detail}; measured {measured}"
+        # a list, not a generator: every bounded key is looked up, so a
+        # missing one raises even after a failed bound
+        passed = all([_holds(measured[key], bound) for key, bound in bounds.items()])
+        detail = ", ".join(f"{key} = {_shown(value)}{_bound_text(bounds.get(key))}"
+                           for key, value in measured.items())
     except Exception as exc:
-        ok, detail = False, _error_text(exc)
-    return bool(ok), detail
+        passed, detail = False, _error_text(exc)
+    return passed, detail
 
 
 def run_selftest() -> dict:
     """Run the quick side of every check that has one, in table order: the
     four quick-only invariants, and the quick side of every acceptance entry
-    but the two full-only sweep convergence checks.
+    but the three full-only ones (gf_route and the two sweep convergence
+    checks).
 
     Returns a JSON-ready summary; "passed" is the overall verdict.  Checks
     that depend on the coupling variant run both variants.

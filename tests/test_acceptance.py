@@ -1,10 +1,11 @@
 """Acceptance suite: the full side of every check in `stickywalk.harness.CHECKS`.
 
 Run with `pytest tests/test_acceptance.py -v -s`: each check prints one
-pass/fail line with its measured numbers and tolerances.  The parameters,
-tolerances and verdicts live in that one table, whose quick sides the
-self-test runs.  Five criteria keep their numbered test names and run their
-entries by name; `test_acceptance` runs every other entry with a full side.
+pass/fail line with its measured numbers, each bounded one next to its
+bound.  The parameters and bounds live in that one table, whose quick sides
+the self-test runs, and `run_check` holds every side to them by one rule.
+Five criteria keep their numbered test names and run their entries by name;
+`test_acceptance` runs every other entry with a full side.
 """
 
 import time

@@ -85,6 +85,18 @@ def test_pairs_refuses_checkouts_with_different_benchmarks(tmp_path, capsys):
     assert "BENCHMARK.json" in pairs.benchmark_differences(parent, change)
 
 
+@pytest.mark.parametrize("pairs_flag", ["0", "1"])
+def test_pairs_refuses_fewer_than_two_pairs(tmp_path, capsys, pairs_flag):
+    # run.py would fail if run: the refusal comes before the first run
+    parent = _checkout(tmp_path / "parent", run_py="raise SystemExit(1)\n")
+    change = _checkout(tmp_path / "change", run_py="raise SystemExit(1)\n")
+    with pytest.raises(SystemExit) as info:
+        pairs.main(["--parent", str(parent), "--change", str(change), "--workload", "w",
+                    "--pairs", pairs_flag])
+    assert info.value.code == 2
+    assert "--pairs must be at least 2" in capsys.readouterr().err
+
+
 def test_layer_ratios_cover_the_rows_both_runs_timed():
     before = {"s": {"walk n=33": 2.0, "h batch n=1024": 0.5, "gone": 1.0}}
     after = {"s": {"walk n=33": 1.0, "h batch n=1024": 1.0, "new": 3.0}}

@@ -347,6 +347,9 @@ def test_char_fn_gf_refuses_outside_its_domain():
     assert gf_domain_error(0.5, 0.5, 32) == ""
     with pytest.raises(ValueError):
         char_fn_gf(p, [0.1, 0.2], [0.3], 64)
+    # the worst point prints as plain numbers, not as numpy scalars' reprs
+    with pytest.raises(ValueError, match=r"at \(s, t\) = \(2\.0, 0\.0\), n = 16:"):
+        char_fn_gf(p, 2.0, 0.0, 16)
 
 
 def test_char_fn_takes_the_contour_inside_its_domain_only():
@@ -495,9 +498,8 @@ def test_endpoint_distribution_matches_literal_enumeration(delta):
 @pytest.mark.parametrize("delta", [1.0, 50.0])
 def test_oracle_equivalence_at_enumeration_cap(delta):
     # n = 14 is the largest enumeration the oracle allows
-    worst_f, worst_h = oracle_gaps(deltas=(delta,), ns=(14,), angles=(-2.0, 0.5, 1.3),
-                                   js=(0, 1, 2))
-    assert worst_f <= 1e-12 and worst_h <= 1e-12, (worst_f, worst_h)
+    gaps = oracle_gaps(deltas=(delta,), ns=(14,), angles=(-2.0, 0.5, 1.3), js=(0, 1, 2))
+    assert gaps["f"] <= 1e-12 and gaps["h"] <= 1e-12, gaps
 
 
 def test_endpoint_distribution_is_a_distribution():

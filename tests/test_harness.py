@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -20,6 +21,7 @@ from stickywalk.cli import main
 from stickywalk.exact import CouplingVariant, char_fn_exact, char_fn_gf
 from stickywalk.harness import (
     CHECKS,
+    Check,
     SweepConfig,
     run_check,
     run_covariance,
@@ -199,7 +201,7 @@ def test_variant_measurements_run_one_recursion_per_n(monkeypatch):
 
     monkeypatch.setattr(exact, "_h_steps", spying)
     harness.variant_sup_gaps((-2.0, 0.5, 1.0), (64, 256))
-    harness.variant_values(1.0, 0.4, -1.1, 9)
+    harness.variant_values(1.0, 0.4, -1.1, 9, paper_exact=0.0, kernel_exact=0.0)
     assert lengths == [64, 256, 9]
 
 
@@ -328,13 +330,29 @@ def test_selftest_passes_for_both_couplings():
         "variant_asymptotics", "normalization_symmetry", "gf_identity", "special_functions",
         "ell_transform", "laplace_limits", "quadrature_order", "critical_routes",
         "covariance_consistency", "mc_agreement"]
+    # every row prints each bounded value next to its bound
+    for check in CHECKS:
+        if check.quick is not None:
+            detail = report["checks"][check.name]["detail"]
+            for key, bound in check.quick[1].items():
+                shown = "(<= 0)" if bound == 0 else f"(< {bound!r})"
+                assert re.search(rf"(^|, ){key} = [^,]+ {re.escape(shown)}", detail), (key, detail)
 
 
 def test_check_table_shape():
+    assert Check._fields == ("name", "measure", "quick", "full")
     names = [check.name for check in CHECKS]
     assert len(set(names)) == len(names)
     for check in CHECKS:
         assert check.quick is not None or check.full is not None, check.name
+        # each side is (params, bounds), and every bound a finite number >= 0
+        for side in (check.quick, check.full):
+            if side is not None:
+                params, bounds = side
+                assert isinstance(params, dict) and bounds, check.name
+                for key, bound in bounds.items():
+                    assert type(bound) in (int, float), (check.name, key, bound)
+                    assert math.isfinite(bound) and bound >= 0, (check.name, key, bound)
     # a quick-only row is an invariant no acceptance entry measures; a quick
     # slice of a measurement that has a full run belongs on that entry
     assert {check.name for check in CHECKS if check.full is None} == {
@@ -368,7 +386,7 @@ def test_covariance_routes_negative_control(monkeypatch):
         lambda v: specfun.erfcx_real(2 * math.sqrt(v) / alpha), tol=1e-13))
     for side in ("quick", "full"):
         passed, detail = run_check(check, side)
-        assert not passed and "worst |contour - quadrature| = 1.00e-11" in detail, detail
+        assert not passed and "routes = 1e-11 (< 1e-12)" in detail, detail
 
 
 def test_mc_agreement_parity_negative_control(monkeypatch):
@@ -384,7 +402,7 @@ def test_mc_agreement_parity_negative_control(monkeypatch):
 
     monkeypatch.setattr(harness, "simulate_endpoints", shifted)
     passed, detail = run_check(check, "quick")
-    assert not passed and "1 endpoints off parity" in detail, detail
+    assert not passed and "off_parity = 1 (<= 0)" in detail, detail
 
 
 def test_full_side_fails_on_nan_gap(monkeypatch):
@@ -393,11 +411,42 @@ def test_full_side_fails_on_nan_gap(monkeypatch):
     monkeypatch.setattr(harness, "phi_critical", lambda *args, **kwargs: math.nan)
     passed, detail = run_check(check, "full")
     assert not passed
-    assert "= nan" in detail
+    assert detail == "gap = nan (< 1e-12)"
+
+
+def _run_side(measured, bounds):
+    return run_check(Check("probe", lambda: measured, quick=({}, bounds)), "quick")
+
+
+@pytest.mark.parametrize("value, bound, passed", [
+    (1e-12, 1e-12, False),  # a bound is strict
+    (0.9e-12, 1e-12, True),
+    (0, 0, True),  # a zero bound takes 0 ...
+    (0.0, 0, True),
+    (1, 0, False),  # ... and nothing above it
+    (-0.5, 1e-15, True),
+    (math.nan, 1.0, False),
+    (math.nan, 0, False),
+])
+def test_run_check_rule(value, bound, passed):
+    assert _run_side({"x": value}, {"x": bound})[0] is passed
+
+
+def test_run_check_detail_lists_every_measured_key_in_order():
+    measured = {"count": 1, "sups": (0.5, 0.25), "gap": 1e-13, "points": 9}
+    passed, detail = _run_side(measured, {"gap": 1e-12, "count": 0})
+    assert not passed
+    assert detail == "count = 1 (<= 0), sups = (0.5, 0.25), gap = 1e-13 (< 1e-12), points = 9"
+
+
+def test_run_check_fails_a_bound_on_a_missing_key():
+    passed, detail = _run_side({"gap": 0.0}, {"gap": 1.0, "rises": 0})
+    assert not passed
+    assert detail == "KeyError: 'rises'"
 
 
 @pytest.mark.parametrize("target, measure", [
-    ("gf_closed_form", lambda: harness.gf_gaps((0.5,), (96,), (0.0, 0.5), (0, 1))),
+    ("gf_closed_form", lambda: harness.gf_gaps((0.5,), (96,), (0.0, 0.5), (0, 1))["gap"]),
     ("ell_laplace_numeric", lambda: harness.ell_transform_gaps(
         ((1.0, 1.0, 1.0), (2.0, 2.0, 0.5)))["gap"]),
     ("exact_covariance", lambda: harness.covariance_gaps(
@@ -413,7 +462,7 @@ def test_full_side_fails_on_nan_gap(monkeypatch):
 ])
 def test_measurements_keep_nan(monkeypatch, target, measure):
     # a NaN from any one point must survive the worst-value reduction (the
-    # built-in max would drop it), so that a tolerance verdict fails; every
+    # built-in max would drop it), so that its bound fails the check; every
     # call after the first returns NaN, so the order of calls does not matter
     calls = iter(range(10 ** 6))
     real = getattr(harness, target)
