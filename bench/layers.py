@@ -13,10 +13,9 @@ reader can see how far the repeats of one run spread:
   the step-major int8 class array, then those classes walked;
 - ``simulate_endpoints``: n = 1024, 2e4 paths, seed 7, mc-critical's shape;
 - ``h one angle n=N`` and ``h batch n=N``: the h recursion at n = 1024, 4096,
-  8192 (sweep-exact's largest call) and 16384, for the middle one and for
-  all of the 15 distinct (s + t) / sqrt(n) of the default sweep grid, which
-  come in +- pairs and so have 8 distinct cosines, one recursion column
-  each; every batch row must equal its one-angle call byte for byte, or the
+  8192 and 16384, for the middle one and for all of the 15 distinct
+  (s + t) / sqrt(n) of the default sweep grid, which come in +- pairs and
+  so have 8 distinct cosines, one recursion column each; every batch row must equal its one-angle call byte for byte, or the
   script stops;
 - ``char_fn_exact grid``: the 36 points of that grid at n = 4096, in one call;
 - ``char_fn_gf grid``: the same 36 points read off the generating function

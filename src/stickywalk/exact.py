@@ -52,6 +52,7 @@ __all__ = [
     "brute_force_h",
     "gf_closed_form",
     "gf_h0_reciprocal",
+    "laplace_empirical",
     "exact_covariance",
 ]
 
@@ -129,8 +130,7 @@ def diag_fourier_sequence(u: float, t, n: int, j: int = 0) -> np.ndarray:
     approximation: every cell inside the cone reads the same inputs and
     takes the same floating-point operations, in the same order, as with
     the full carry, so every output byte is unchanged.  It saves about
-    20 / sqrt(n) of the cells for large n (for the default sweep grid, 44%
-    at n = 1024 and 19% at 8192).
+    20 / sqrt(n) of the cells for large n (44% at n = 1024 and 19% at 8192).
 
     Raises CapacityError for n > 2**15 instead of running for minutes (only
     the checks and char_fn's fallback outside the contour's domain go there).
@@ -218,7 +218,7 @@ def _h_steps(u: float, ct: np.ndarray, j: int, col: np.ndarray) -> None:
 def coupling_coefficient(
     p: StickinessParam, s: float, t: float, variant: CouplingVariant = CouplingVariant.KERNEL
 ) -> float:
-    if variant == CouplingVariant.KERNEL:
+    if CouplingVariant(variant) is CouplingVariant.KERNEL:
         return -p.u_minus_one * math.sin(s) * math.sin(t)
     return -0.5 * p.u * math.sin(s) * math.sin(t)
 
@@ -240,7 +240,8 @@ def _cf_points(s, t, variant):
     s_list, t_list = s_arr.reshape(-1).tolist(), t_arr.reshape(-1).tolist()
     if not all(map(math.isfinite, s_list + t_list)):
         raise ValueError("angles must be finite")
-    variants = [variant] * len(s_list) if isinstance(variant, str) else list(variant)
+    variants = ([CouplingVariant(variant)] * len(s_list) if isinstance(variant, str)
+                else list(map(CouplingVariant, variant)))
     if len(variants) != len(s_list):
         raise ValueError(f"variant: one coupling or one per point, not {len(variants)}")
     return s_arr.ndim == 0, s_list, t_list, variants
@@ -260,8 +261,8 @@ def char_fn_exact(
     CouplingVariant, or a sequence of one per point.  Each call runs one h
     recursion over every point's s + t (one column per distinct cosine) and
     caches nothing.  Cost is that recursion (see diag_fourier_sequence) plus
-    O(n) per point.  Non-finite angles, or a variant sequence of the wrong
-    length, raise ValueError.
+    O(n) per point.  Non-finite angles, an unknown coupling, or a variant
+    sequence of the wrong length raise ValueError.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -518,31 +519,35 @@ def gf_h0_reciprocal(p: StickinessParam, t, z, one_minus_z=None):
     positive), so this continues the real closed form to the plane cut along
     those rays.
     """
-    scalar = not (np.iscomplexobj(z) or np.ndim(z) or np.ndim(t))
-    if scalar:
-        if one_minus_z is None:
-            if not (0.0 < z < 1.0):
-                raise ValueError("z must lie in (0, 1)")
-            one_minus_z = 1.0 - z
-        sin = math.sin
-    else:
-        if one_minus_z is None:
-            one_minus_z = 1.0 - z
-        t, sin = np.asarray(t, dtype=np.float64), np.sin
-    one_minus_ct = 2.0 * sin(0.5 * t) ** 2
-    st = sin(t)
-    one_minus_zc = one_minus_z + z * one_minus_ct
-    arg = one_minus_zc - 0.25 * (z * st) ** 2
-    if scalar:
-        if arg < 0.0:
-            # nonnegative for real t, z in (0,1); tolerate rounding at the boundary
-            if arg < -1e-14:
-                raise ArithmeticError(f"square-root argument {arg} unexpectedly negative")
-            arg = 0.0
-        root = math.sqrt(arg)
-    else:
+    real = not (np.iscomplexobj(z) or np.ndim(z) or np.ndim(t))
+    if one_minus_z is None:
+        if real and not (0.0 < z < 1.0):
+            raise ValueError("z must lie in (0, 1)")
+        one_minus_z = 1.0 - z
+    t = np.asarray(t, dtype=np.float64)
+    one_minus_zc = one_minus_z + z * (2.0 * np.sin(0.5 * t) ** 2)
+    arg = one_minus_zc - 0.25 * (z * np.sin(t)) ** 2
+    if not real:
         root = np.sqrt(np.asarray(arg, dtype=np.complex128))
-    return p.u_minus_one * one_minus_zc + p.two_minus_u * root
+        return p.u_minus_one * one_minus_zc + p.two_minus_u * root
+    if arg < -1e-14:  # nonnegative for real t, z in (0, 1), up to rounding
+        raise ArithmeticError(f"square-root argument {arg} unexpectedly negative")
+    return float(p.u_minus_one * one_minus_zc + p.two_minus_u * np.sqrt(max(arg, 0.0)))
+
+
+def laplace_empirical(delta: float, n: int, w: float, lam: float) -> float:
+    """n^-1 H(0, w / sqrt(n), exp(-lam / n)) from the closed form, O(1) in n: the
+    finite-n side of the laplace_limits check (its subcritical comparison
+    rescales this by sqrt(n) / delta_n)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not (lam > 0.0):
+        raise ValueError("lam must be > 0")
+    ratio = lam / n
+    if ratio < 1e-15:
+        raise ValueError("lam / n below the double-precision resolution of 1 - z")
+    z, one_minus_z = math.exp(-ratio), -math.expm1(-ratio)
+    return 1.0 / (n * gf_h0_reciprocal(StickinessParam(delta), w / math.sqrt(n), z, one_minus_z))
 
 
 def gf_closed_form(p: StickinessParam, t, z, j: int = 0, one_minus_z=None):

@@ -38,6 +38,7 @@ from .exact import (
     exact_covariance,
     gf_closed_form,
     gf_domain_error,
+    laplace_empirical,
 )
 from .kernel import StickinessParam, simulate_endpoints, stickiness_u
 from .limits import (
@@ -45,7 +46,6 @@ from .limits import (
     covariance_limit,
     ell,
     ell_laplace_numeric,
-    laplace_empirical,
     laplace_numeric,
     laplace_target,
     limit_cf,
@@ -136,6 +136,7 @@ class SweepConfig:
     def __post_init__(self):
         object.__setattr__(self, "n_list", _step_counts(self.n_list))
         object.__setattr__(self, "grid", tuple((float(s), float(t)) for s, t in self.grid))
+        object.__setattr__(self, "coupling", CouplingVariant(self.coupling))
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ValueError("n_list must be strictly increasing")
         if not self.grid:
@@ -352,6 +353,7 @@ def gf_gaps(deltas, ns, ts, js) -> dict:
     ValueError; at t = 2, rho = sin^2(1) = 0.708 and n >= 87.
     """
     gaps = []
+    t_col = np.reshape(ts, (-1, 1))  # one row per angle, one column per node
     for n in ns:
         cause = gf_domain_error(ts, np.zeros(len(ts)), n)
         if cause:
@@ -360,9 +362,8 @@ def gf_gaps(deltas, ns, ts, js) -> dict:
             p = StickinessParam(delta)
             for j in js:
                 recursion = diag_fourier_sequence(p.u, ts, n, j=j)[:, n]
-                for t, h in zip(ts, recursion.tolist()):
-                    closed = _zn_coefficient(lambda z, omz: gf_closed_form(p, t, z, j, omz), n)
-                    gaps.append(abs(closed - h))
+                closed = _zn_coefficient(lambda z, omz: gf_closed_form(p, t_col, z, j, omz), n)
+                gaps += np.abs(closed - recursion).tolist()
     return {"gap": _worst(gaps)}
 
 

@@ -5,6 +5,8 @@ according to how delta_n compares to sqrt(n): far below it the coordinates
 decouple into a product of standard normals, far above they fuse into a
 single normal, and on the critical scale delta_n ~ alpha sqrt(n) the Fourier
 transform picks up an integral of the occupation profile ell_{alpha,w}.
+This module imports only specfun: the finite-n side of every comparison,
+exact.laplace_empirical included, belongs to the exact engine.
 
 The critical limit_cf and covariance_limit invert Laplace transforms built on
 the paper's critical target G on a fixed 33-node contour (absolute error about
@@ -27,8 +29,6 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import gf_h0_reciprocal
-from .kernel import StickinessParam
 from .specfun import erfcx_complex, erfcx_real, integrate_01, inverse_laplace_at_1
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "limit_params",
     "ell",
     "laplace_target",
-    "laplace_empirical",
     "phi_critical",
     "limit_cf",
     "covariance_limit",
@@ -54,6 +53,12 @@ _IMAG_TOL = 1e-8
 _TRUNC_LOG = 12.0 * math.log(10.0)
 # the smallest alpha whose alpha^2 is a normal double (2**-1022)
 _ALPHA_MIN = 2.0 ** -511
+
+
+def _check_alpha(alpha) -> None:
+    if alpha is None or not (math.isfinite(alpha) and alpha >= _ALPHA_MIN):
+        raise ValueError(f"alpha must be a finite number >= 2**-511, got {alpha!r}")
+
 
 REGIME_KINDS = ("subcritical", "critical", "supercritical")
 # delta_n = coeff * n**exponent off the critical scale, below / above sqrt(n)
@@ -76,8 +81,7 @@ def limit_params(alpha: float, w: float) -> LimitParams:
     """gamma, b1, b2 for (alpha, w); flags the degenerate case alpha^-2 = w^2/4."""
     alpha = float(alpha)
     w = float(w)
-    if not (math.isfinite(alpha) and alpha >= _ALPHA_MIN):
-        raise ValueError(f"alpha must be finite and >= 2**-511, got {alpha!r}")
+    _check_alpha(alpha)
     if not math.isfinite(w):
         raise ValueError(f"w must be finite, got {w!r}")
     inv_a2 = 1.0 / (alpha * alpha)
@@ -150,8 +154,7 @@ class RegimeSpec:
             return
         if self.coeff != 1.0:  # NaN included
             raise ValueError(f"coeff does not apply to the critical regime, got {self.coeff!r}")
-        if self.alpha is None or not (math.isfinite(self.alpha) and self.alpha >= _ALPHA_MIN):
-            raise ValueError(f"critical needs a finite alpha >= 2**-511, got {self.alpha!r}")
+        _check_alpha(self.alpha)
 
     @classmethod
     def subcritical(cls, coeff: float = 1.0) -> "RegimeSpec":
@@ -187,26 +190,6 @@ def laplace_target(regime: RegimeSpec, w: float, lam: float) -> float:
     if regime.kind == "critical":
         return float(_critical_target(lam, w * w, regime.alpha))
     return 1.0 / (0.5 * w * w + lam)
-
-
-def laplace_empirical(delta: float, n: int, w: float, lam: float) -> float:
-    """n^-1 H(0, w / sqrt(n), exp(-lam / n)) from the closed form; O(1) in n.
-
-    The subcritical comparison additionally rescales this by sqrt(n) / delta_n
-    (callers do that; this function always returns the plain n^-1 H value).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not (lam > 0.0):
-        raise ValueError("lam must be > 0")
-    ratio = lam / n
-    if ratio < 1e-15:
-        raise ValueError("lam / n below the double-precision resolution of 1 - z")
-    p = StickinessParam(delta)
-    t = w / math.sqrt(n)
-    z = math.exp(-ratio)
-    one_minus_z = -math.expm1(-ratio)
-    return 1.0 / (n * gf_h0_reciprocal(p, t, z, one_minus_z=one_minus_z))
 
 
 def _theta(s: float, t: float) -> float:
@@ -288,8 +271,7 @@ def covariance_limit(alpha: float) -> float:
     """Limit of n^-1 E[x y] under delta_n = alpha sqrt(n), in (0, 1): -d2 phi/ds dt
     at 0, the inverse Laplace transform at time 1 of G(lam) / lam at w = 0 on
     limit_cf's contour; integral_0^1 erfcx(2 sqrt(v) / alpha) dv is its check."""
-    if not (math.isfinite(alpha) and alpha >= _ALPHA_MIN):
-        raise ValueError(f"alpha must be finite and >= 2**-511, got {alpha!r}")
+    _check_alpha(alpha)
     return inverse_laplace_at_1(lambda lam: _critical_target(lam, 0.0, alpha) / lam)
 
 

@@ -1,15 +1,19 @@
-"""The pure parts of the bench/ scripts: pair summaries, the benchmark guard, layer summaries and ratios."""
+"""The pure parts of the bench/ scripts: pair summaries, the benchmark guard, layer summaries
+and ratios; and what perfbench's tracer needs of the package."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+def _load(name, directory=BENCH):
+    spec = importlib.util.spec_from_file_location(f"{directory.name}_{name}",
+                                                  directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -117,3 +121,20 @@ def test_layers_refuses_no_repeats(capsys):
         layers.main(["--repeats", "0"])
     assert info.value.code == 2
     assert "--repeats" in capsys.readouterr().err
+
+
+def test_perfbench_tracer_finds_what_it_wraps():
+    # perfbench/spans.py wraps package functions by name and reads some of
+    # their arguments: a rename or a dropped parameter here would break the
+    # benchmark run, not this suite, without this check
+    spans = _load("spans", ROOT / "perfbench")
+    for _, module, name in spans.SPANNED:
+        assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+    for names in spans.COUNTED.values():
+        for name in names:
+            assert callable(getattr(spans.stickywalk.specfun, name, None)), name
+    kernel, exact = spans.stickywalk.kernel, spans.stickywalk.exact
+    assert {"p", "n", "paths", "seed", "workers"} <= set(
+        inspect.signature(kernel.simulate_endpoints).parameters)
+    assert callable(exact.endpoint_distribution.cache_info)
+    assert callable(kernel.path_rng)

@@ -423,6 +423,24 @@ def test_variant_discrimination():
     assert abs(oracle) <= 1e-12
 
 
+def test_unknown_coupling_is_refused():
+    # "kernel" is the CLI's flag value, not a CouplingVariant value: it must
+    # not run as the paper coupling, whose value at this point is -0.5
+    p = StickinessParam(0.0)
+    s = t = math.pi / 2
+    for call in (char_fn_exact, char_fn_gf, char_fn):
+        with pytest.raises(ValueError, match="CouplingVariant"):
+            call(p, s, t, 16, "kernel")
+        with pytest.raises(ValueError, match="CouplingVariant"):
+            call(p, [s, s], [t, t], 16, [CouplingVariant.KERNEL, "paper"])
+    with pytest.raises(ValueError, match="CouplingVariant"):
+        exact.coupling_coefficient(p, s, t, "kernel")
+    # a variant's value names it as well as the member does
+    paper = char_fn_exact(p, s, t, 1, CouplingVariant.PAPER)
+    assert char_fn_exact(p, s, t, 1, "paper-prop2") == paper
+    assert abs(char_fn_exact(p, s, t, 1, "kernel-derived")) <= 1e-12
+
+
 def test_variant_agreement_under_scaling():
     grid = [(s, t) for s in (-2.0, 1.0, 2.0) for t in (-2.0, 1.0, 2.0)]
     sups = []

@@ -57,6 +57,14 @@ def test_sweep_config_validation():
             SweepConfig(regime=regime, n_list=n_list, grid=((1.0, 1.0),))
 
 
+def test_sweep_config_refuses_an_unknown_coupling():
+    regime = RegimeSpec.critical(1.0)
+    with pytest.raises(ValueError, match="CouplingVariant"):
+        SweepConfig(regime=regime, n_list=(64,), coupling="kernel")
+    config = SweepConfig(regime=regime, n_list=(64,), coupling="paper-prop2")
+    assert config.coupling is CouplingVariant.PAPER
+
+
 def test_sweep_config_rejects_tolerances_dict():
     # no open tolerance dict: a misspelled key there would run at the default
     with pytest.raises(TypeError):
@@ -205,11 +213,24 @@ def test_variant_measurements_run_one_recursion_per_n(monkeypatch):
     assert lengths == [64, 256, 9]
 
 
-def test_run_sweep_holds_no_h_arrays_after_return():
-    # an alpha scan at n = 2048: each call's h rows (15 x 2048 doubles,
-    # 240 KiB) are freed when it returns, none kept for a later call
+def test_run_sweep_holds_no_h_arrays_after_return(monkeypatch):
+    # an alpha scan at n = 2048 on the default grid plus one point with
+    # s + t = pi once scaled, outside char_fn_gf's domain, so each sweep runs
+    # the h recursion: each call's h rows (16 distinct angles x 2048 doubles,
+    # 256 KiB) are freed when it returns, none kept for a later call
+    n = 2048
+    grid = harness.default_grid() + ((math.pi * math.sqrt(n) / 2,) * 2,)
+    recursions = []
+    real = exact._h_steps
+
+    def spying(u, ct, j, col):
+        recursions.append(col.shape[0])
+        return real(u, ct, j, col)
+
+    monkeypatch.setattr(exact, "_h_steps", spying)
+
     def sweep(alpha):
-        run_sweep(SweepConfig(regime=RegimeSpec.critical(alpha), n_list=(2048,)))
+        run_sweep(SweepConfig(regime=RegimeSpec.critical(alpha), n_list=(n,), grid=grid))
 
     sweep(1.0)  # first-call allocations are not counted
     tracemalloc.start()
@@ -219,7 +240,8 @@ def test_run_sweep_holds_no_h_arrays_after_return():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held < 15 * 2048 * 8 // 4
+    assert recursions == [n] * 5
+    assert held < 16 * n * 8 // 4
 
 
 def test_run_sweep_computes_each_limit_once(monkeypatch):

@@ -1,16 +1,21 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stickywalk.exact import char_fn_exact, exact_covariance
+import stickywalk.limits
+from stickywalk.exact import char_fn_exact, exact_covariance, laplace_empirical
 from stickywalk.kernel import StickinessParam
 from stickywalk.limits import (
     RegimeSpec,
     covariance_limit,
     ell,
     ell_laplace_numeric,
-    laplace_empirical,
     laplace_numeric,
     laplace_target,
     limit_cf,
@@ -151,6 +156,29 @@ def test_laplace_empirical_domain():
         laplace_empirical(1.0, 0, 0.0, 1.0)
     with pytest.raises(ValueError):
         laplace_empirical(1.0, 10, 0.0, 0.0)
+
+
+def test_limits_loads_only_specfun():
+    # each limit route is independent of the finite-n engine and the sampler
+    code = ("import json, sys, stickywalk.limits; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'stickywalk')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(stickywalk.limits.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == ["stickywalk", "stickywalk.errors", "stickywalk.limits",
+                                       "stickywalk.specfun"]
+
+
+def test_alpha_is_checked_with_one_message():
+    message = r"alpha must be a finite number >= 2\*\*-511"
+    for bad in (0.0, -1.0, math.nan, math.inf, 2.0 ** -512):
+        for call in (lambda: limit_params(bad, 0.0), lambda: RegimeSpec.critical(bad),
+                     lambda: covariance_limit(bad)):
+            with pytest.raises(ValueError, match=message):
+                call()
+    with pytest.raises(ValueError, match=message):
+        RegimeSpec(kind="critical")
 
 
 def test_regime_spec_validation():
