@@ -218,7 +218,9 @@ def _h_steps(u: float, ct: np.ndarray, j: int, col: np.ndarray) -> None:
 def coupling_coefficient(
     p: StickinessParam, s: float, t: float, variant: CouplingVariant = CouplingVariant.KERNEL
 ) -> float:
-    if CouplingVariant(variant) is CouplingVariant.KERNEL:
+    if type(variant) is not CouplingVariant:  # a member skips the slow Enum call
+        variant = CouplingVariant(variant)  # ValueError for an unknown coupling
+    if variant is CouplingVariant.KERNEL:
         return -p.u_minus_one * math.sin(s) * math.sin(t)
     return -0.5 * p.u * math.sin(s) * math.sin(t)
 
