@@ -57,7 +57,7 @@ _ALPHA_MIN = 2.0 ** -511
 
 def _check_alpha(alpha) -> None:
     if alpha is None or not (math.isfinite(alpha) and alpha >= _ALPHA_MIN):
-        raise ValueError(f"alpha must be a finite number >= 2**-511, got {alpha!r}")
+        raise ValueError(f"the critical regime needs a finite alpha >= 2**-511, got {alpha!r}")
 
 
 REGIME_KINDS = ("subcritical", "critical", "supercritical")

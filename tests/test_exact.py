@@ -609,3 +609,13 @@ def test_gf_roots_property(z, t, delta):
 def test_gf_domain(z):
     with pytest.raises(ValueError):
         gf_closed_form(StickinessParam(1.0), 0.3, z, 0)
+
+
+def test_gf_h0_reciprocal_real_scalar_radicand():
+    # at t = 0 the radicand is one_minus_z itself: a rounding just below 0 is
+    # taken as 0 and the value stays a float, one further below is refused
+    p = StickinessParam(1.0)
+    value = gf_h0_reciprocal(p, 0.0, 0.5, one_minus_z=-5e-15)
+    assert type(value) is float and value == p.u_minus_one * -5e-15
+    with pytest.raises(ArithmeticError, match="unexpectedly negative"):
+        gf_h0_reciprocal(p, 0.0, 0.5, one_minus_z=-1e-13)

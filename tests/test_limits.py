@@ -171,7 +171,7 @@ def test_limits_loads_only_specfun():
 
 
 def test_alpha_is_checked_with_one_message():
-    message = r"alpha must be a finite number >= 2\*\*-511"
+    message = r"the critical regime needs a finite alpha >= 2\*\*-511"
     for bad in (0.0, -1.0, math.nan, math.inf, 2.0 ** -512):
         for call in (lambda: limit_params(bad, 0.0), lambda: RegimeSpec.critical(bad),
                      lambda: covariance_limit(bad)):
