@@ -5,8 +5,9 @@ A flat key=value config file can supply the value of any flag its command
 takes, checked like the flag itself; explicit flags win.  Exit status: 0
 success, 1 numeric failure, 2 usage error (an unparsable, out-of-range or
 missing flag, a flag the command would ignore, an unknown config key, an
-``--out`` that is not a file in an existing directory, or a request over the
-desk-scale budget).
+``--out`` that is not a file in an existing directory, or an ``mc`` or
+``exact-cf`` request over the desk-scale budget; in ``sweep`` and
+``covariance`` an over-budget n fails its rows instead, exit 1).
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def _config_defaults(path: str, sub: argparse.ArgumentParser) -> dict:
 
 
 def _regime_from(args) -> RegimeSpec:
-    # RegimeSpec refuses a missing critical alpha and an alpha off it
+    # RegimeSpec refuses a critical alpha out of range and an alpha off it
     return RegimeSpec(_REGIMES[args.regime], alpha=args.alpha)
 
 
@@ -226,6 +227,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     missing = [f"--{flag}" for flag in _REQUIRED.get(args.command, ())
                if getattr(args, flag) is None]
+    if getattr(args, "regime", None) == "critical" and args.alpha is None:
+        missing.append("--alpha")
     if missing:
         sub.error("missing " + ", ".join(missing))
     out = getattr(args, "out", None)

@@ -42,7 +42,6 @@ from .specfun import CONTOUR_NODES, CONTOUR_WEIGHTS
 __all__ = [
     "CouplingVariant",
     "diag_fourier_sequence",
-    "coupling_coefficient",
     "char_fn_exact",
     "char_fn_gf",
     "char_fn",
@@ -215,16 +214,6 @@ def _h_steps(u: float, ct: np.ndarray, j: int, col: np.ndarray) -> None:
 # full characteristic function
 # ---------------------------------------------------------------------------
 
-def coupling_coefficient(
-    p: StickinessParam, s: float, t: float, variant: CouplingVariant = CouplingVariant.KERNEL
-) -> float:
-    if type(variant) is not CouplingVariant:  # a member skips the slow Enum call
-        variant = CouplingVariant(variant)  # ValueError for an unknown coupling
-    if variant is CouplingVariant.KERNEL:
-        return -p.u_minus_one * math.sin(s) * math.sin(t)
-    return -0.5 * p.u * math.sin(s) * math.sin(t)
-
-
 def _angle_arrays(s, t):
     """s and t as float64 arrays; ValueError unless two angles or two
     equal-length 1-D sequences."""
@@ -235,18 +224,23 @@ def _angle_arrays(s, t):
     return s_arr, t_arr
 
 
-def _cf_points(s, t, variant):
-    """The points of a char_fn_* call: (one point given as scalars, s list,
-    t list, one CouplingVariant per point); ValueError as char_fn_exact says."""
+def _cf_points(p: StickinessParam, s, t, variant):
+    """The points of a char_fn_* call: (one point given as scalars, s and t as
+    1-D float64 arrays, each point's coupling coefficient c); ValueError as
+    char_fn_exact says."""
     s_arr, t_arr = _angle_arrays(s, t)
-    s_list, t_list = s_arr.reshape(-1).tolist(), t_arr.reshape(-1).tolist()
-    if not all(map(math.isfinite, s_list + t_list)):
+    scalar, s_arr, t_arr = s_arr.ndim == 0, s_arr.reshape(-1), t_arr.reshape(-1)
+    if not (np.isfinite(s_arr).all() and np.isfinite(t_arr).all()):
         raise ValueError("angles must be finite")
-    variants = ([CouplingVariant(variant)] * len(s_list) if isinstance(variant, str)
-                else list(map(CouplingVariant, variant)))
-    if len(variants) != len(s_list):
-        raise ValueError(f"variant: one coupling or one per point, not {len(variants)}")
-    return s_arr.ndim == 0, s_list, t_list, variants
+    if isinstance(variant, str):  # one coupling for every point
+        kernel = CouplingVariant(variant) is CouplingVariant.KERNEL
+    else:
+        kernel = np.array([CouplingVariant(v) is CouplingVariant.KERNEL for v in variant],
+                          dtype=bool)
+        if kernel.size != s_arr.size:
+            raise ValueError(f"variant: one coupling or one per point, not {kernel.size}")
+    c = np.where(kernel, -p.u_minus_one, -0.5 * p.u) * np.sin(s_arr) * np.sin(t_arr)
+    return scalar, s_arr, t_arr, c
 
 
 def char_fn_exact(
@@ -268,15 +262,13 @@ def char_fn_exact(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    scalar, s_list, t_list, variants = _cf_points(s, t, variant)
-    values = np.ones(len(s_list), dtype=np.complex128)
-    if n > 0 and s_list:
-        h0 = diag_fourier_sequence(p.u, [a + b for a, b in zip(s_list, t_list)], n - 1)
+    scalar, s, t, c = _cf_points(p, s, t, variant)
+    values = np.ones(s.size, dtype=np.complex128)
+    if n > 0 and s.size:
+        h0 = diag_fourier_sequence(p.u, s + t, n - 1)
         exponents = np.arange(n - 1, -1, -1, dtype=np.float64)
-        for i, (a, b, coupling) in enumerate(zip(s_list, t_list, variants)):
-            cc = math.cos(a) * math.cos(b)
-            c = coupling_coefficient(p, a, b, coupling)
-            values[i] = cc ** n + c * float((cc ** exponents) @ h0[i])
+        for i, (cc, c_i) in enumerate(zip(np.cos(s) * np.cos(t), c)):
+            values[i] = cc ** n + c_i * float((cc ** exponents) @ h0[i])
     return complex(values[0]) if scalar else values
 
 
@@ -378,15 +370,13 @@ def char_fn_gf(
     Inside the domain the gap to char_fn_exact is at most 3.3e-13 on the
     default sweep grid for n = 16..8192 (the gf_route check).
     """
-    scalar, s_list, t_list, variants = _cf_points(s, t, variant)
-    cause = gf_domain_error(s_list, t_list, n)
+    scalar, s, t, c = _cf_points(p, s, t, variant)
+    cause = gf_domain_error(s, t, n)
     if cause:
         raise ValueError(cause)
     # one row per point, one column per node; each row is summed on its own,
     # so a point's value does not depend on the other points of the call
-    s_col, t_col = np.reshape(s_list, (-1, 1)), np.reshape(t_list, (-1, 1))
-    c = np.reshape([coupling_coefficient(p, a, b, v) for a, b, v in zip(s_list, t_list, variants)],
-                   (-1, 1))
+    s_col, t_col, c = s[:, None], t[:, None], c[:, None]
     one_minus_cc = 2.0 * np.sin(0.5 * s_col) ** 2 + 2.0 * np.cos(s_col) * np.sin(0.5 * t_col) ** 2
 
     def transform(z, one_minus_z):

@@ -1,6 +1,7 @@
 """The pure parts of the bench/ scripts: pair summaries, the benchmark guard, layer summaries
 and ratios; and what perfbench's tracer needs of the package."""
 
+import ast
 import importlib.util
 import inspect
 from pathlib import Path
@@ -138,3 +139,21 @@ def test_perfbench_tracer_finds_what_it_wraps():
         inspect.signature(kernel.simulate_endpoints).parameters)
     assert callable(exact.endpoint_distribution.cache_info)
     assert callable(kernel.path_rng)
+
+
+def test_layers_reaches_only_names_the_package_has():
+    # bench/layers.py times sampler and exact internals it reaches by name: a
+    # rename would break its layer table, not this suite, without this check
+    tree = ast.parse((BENCH / "layers.py").read_text())
+    wanted = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "stickywalk":
+            wanted.update((node.module, alias.name) for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in ("kernel", "exact")):
+            wanted.add((f"stickywalk.{node.value.id}", node.attr))
+    assert {"_chunk_paths", "_chunk_classes", "_walk_draws", "char_fn_gf"} <= {n for _, n in wanted}
+    # __import__ with a fromlist resolves a name as `from module import name` does
+    missing = [f"{module}.{name}" for module, name in sorted(wanted)
+               if not hasattr(__import__(module, fromlist=[name]), name)]
+    assert not missing

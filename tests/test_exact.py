@@ -433,8 +433,6 @@ def test_unknown_coupling_is_refused():
             call(p, s, t, 16, "kernel")
         with pytest.raises(ValueError, match="CouplingVariant"):
             call(p, [s, s], [t, t], 16, [CouplingVariant.KERNEL, "paper"])
-    with pytest.raises(ValueError, match="CouplingVariant"):
-        exact.coupling_coefficient(p, s, t, "kernel")
     # a variant's value names it as well as the member does
     paper = char_fn_exact(p, s, t, 1, CouplingVariant.PAPER)
     assert char_fn_exact(p, s, t, 1, "paper-prop2") == paper
@@ -609,6 +607,20 @@ def test_gf_roots_property(z, t, delta):
 def test_gf_domain(z):
     with pytest.raises(ValueError):
         gf_closed_form(StickinessParam(1.0), 0.3, z, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p: diag_fourier_sequence(p.u, 0.1, -1), "n must be >= 0"),
+    (lambda p: diag_fourier_sequence(p.u, 0.1, 4, j=-1), "j must be >= 0"),
+    (lambda p: char_fn_exact(p, 0.1, 0.2, -1), "n must be >= 0"),
+    (lambda p: endpoint_distribution(p.delta, -1), "n must be >= 0"),
+    (lambda p: exact_covariance(p, -1), "n must be >= 0"),
+    (lambda p: gf_closed_form(p, 0.3, 0.5, -1), "j must be >= 0"),
+], ids=["diag_fourier_sequence-n", "diag_fourier_sequence-j", "char_fn_exact-n",
+        "endpoint_distribution-n", "exact_covariance-n", "gf_closed_form-j"])
+def test_negative_step_or_index_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(StickinessParam(1.0))
 
 
 def test_gf_h0_reciprocal_real_scalar_radicand():

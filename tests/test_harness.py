@@ -158,12 +158,13 @@ def test_run_sweep_isolates_row_failures(monkeypatch):
 
 def _per_point_char_fn(p, s, t, n, variant=CouplingVariant.KERNEL):
     """char_fn_exact as it ran before: one per-angle h recursion per point."""
+    k = -p.u_minus_one if variant is CouplingVariant.KERNEL else -0.5 * p.u
     values = []
     for a, b in zip(s.tolist(), t.tolist()):
         cc = math.cos(a) * math.cos(b)
         h0 = per_angle_h_sequence(p.u, a + b, n - 1)
         powers = cc ** np.arange(n - 1, -1, -1, dtype=np.float64)
-        values.append(cc ** n + exact.coupling_coefficient(p, a, b, variant) * float(powers @ h0))
+        values.append(cc ** n + k * math.sin(a) * math.sin(b) * float(powers @ h0))
     return np.array(values, dtype=np.complex128)
 
 
@@ -590,6 +591,20 @@ def test_cli_config_unknown_key_exits_2(tmp_path, capsys):
         assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["sweep", "--regime", "critical", "--n", "64"], None),
+    (["limit-cf", "--s", "1", "--t", "1"], "regime=critical\n"),
+], ids=["flag", "config"])
+def test_cli_missing_critical_alpha_is_named(argv, config, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    _assert_usage_error(argv)
+    err = capsys.readouterr().err
+    assert "missing --alpha" in err and "None" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--n", "64"],  # missing --regime
     ["sweep", "--regime", "sub", "--n", "abc"],
@@ -655,6 +670,18 @@ def test_cli_over_budget_exits_2(argv, tmp_path, monkeypatch, capsys):
     _assert_usage_error(argv)
     assert "budget" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_cli_failed_rows_exit_1(capsys):
+    # paths * n over the sampler's budget fails each covariance row, not the command
+    assert main(["covariance", "--alpha", "2", "--n", "3,4", "--paths", "1073741824"]) == 1
+    out, err = capsys.readouterr()
+    header, *lines = out.splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert [row["n"] for row in rows] == ["3", "4"]
+    assert all(row["error"].startswith("CapacityError: paths * n = ") for row in rows)
+    assert all(row["exact"] == "" for row in rows)
+    assert err == "2 row(s) failed\n"
 
 
 def test_cli_sweep_past_the_h_budget(capsys):

@@ -71,6 +71,20 @@ def test_limit_params_domain(bad):
         limit_params(bad, 1.0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: limit_params(1.0, math.inf), "w must be finite"),
+    (lambda: limit_params(1.0, math.nan), "w must be finite"),
+    (lambda: laplace_target(RegimeSpec.critical(1.0), 1.0, 0.0), "lam must be > 0"),
+    (lambda: laplace_numeric(math.exp, -1.0), "lam must be > 0"),
+    (lambda: subcritical_density(1.0, 0.0), "x must be > 0"),
+    (lambda: supercritical_density(1.0, -1e-300), "x must be >= 0"),
+], ids=["limit_params-inf", "limit_params-nan", "laplace_target", "laplace_numeric",
+        "subcritical_density", "supercritical_density"])
+def test_out_of_domain_argument_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_ell_is_one_at_origin():
     for alpha in (0.5, 1.0, 2.0, 8.0):
         for w in (0.0, 1.0, 2.0, 4.0, 2.0 / alpha):
