@@ -29,9 +29,13 @@ reader can see how far the repeats of one run spread:
 - ``endpoint_distribution``: the enumeration oracle at n = 12, its cache
   cleared;
 - ``limit_cf grid``: the 36 critical limits of one default-grid sweep at
-  alpha = 2, each inverted on the 33-node contour;
+  alpha = 2, in one call that inverts them on the 33-node contour together,
+  one transform row per point;
 - ``phi_critical grid``: the same 36 points by the quadrature route, at its
   default tolerance;
+- ``run_sweep``: a whole sweep in process at perfbench sweep-exact's shape,
+  critical alpha = 2, n = 1024, 4096 and 8192, the default grid and no
+  Monte Carlo: the limit column and one contour call per n, and the rows;
 - ``import stickywalk.cli``: a fresh interpreter that imports the CLI and
   exits, the set-up every command pays;
 - ``stickywalk selftest``, ``stickywalk covariance`` and ``stickywalk sweep``:
@@ -41,8 +45,8 @@ reader can see how far the repeats of one run spread:
   ``sweep --regime critical --alpha 2 --n 256,1024,4096 --paths 10000``.
 
 Each group of rows (the sampler; h, ``char_fn_exact``, ``char_fn_gf`` and
-``exact_covariance``; the enumeration; the critical limit; the fresh
-interpreters) runs in its own freshly spawned process, one group at a time,
+``exact_covariance``; the enumeration; the critical limit and the sweep; the
+fresh interpreters) runs in its own freshly spawned process, one group at a time,
 so the heap one group leaves behind cannot slow or speed the next.
 
 To compare two checkouts, run each one's own copy and pass the first one's
@@ -159,15 +163,18 @@ def enumeration_rows(repeats: int) -> dict[str, list[float]]:
 
 
 def limit_rows(repeats: int) -> dict[str, list[float]]:
-    from stickywalk.harness import default_grid
+    from stickywalk.harness import SweepConfig, default_grid, run_sweep
     from stickywalk.limits import RegimeSpec, limit_cf, phi_critical
 
     critical, grid = RegimeSpec.critical(2.0), default_grid()
+    s_axis, t_axis = zip(*grid)
+    sweep = SweepConfig(regime=critical, n_list=(1024, 4096, 8192), paths=0)
     return {
-        "limit_cf grid alpha=2": times_s(
-            lambda: [limit_cf(critical, s, t) for s, t in grid], repeats),
+        "limit_cf grid alpha=2": times_s(lambda: limit_cf(critical, s_axis, t_axis), repeats),
         "phi_critical grid alpha=2": times_s(
             lambda: [phi_critical(2.0, s, t) for s, t in grid], repeats),
+        "run_sweep critical alpha=2 n=1024,4096,8192 paths=0": times_s(
+            lambda: run_sweep(sweep), repeats),
     }
 
 

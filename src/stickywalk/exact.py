@@ -374,6 +374,12 @@ def char_fn_gf(
     cause = gf_domain_error(s, t, n)
     if cause:
         raise ValueError(cause)
+    return _contour_cf(p, scalar, s, t, c, n)
+
+
+def _contour_cf(p: StickinessParam, scalar: bool, s, t, c, n: int):
+    """char_fn_gf's values at _cf_points' points, which must lie in
+    gf_domain_error's domain: the caller has checked it."""
     # one row per point, one column per node; each row is summed on its own,
     # so a point's value does not depend on the other points of the call
     s_col, t_col, c = s[:, None], t[:, None], c[:, None]
@@ -392,8 +398,9 @@ def char_fn(p: StickinessParam, s, t, n: int, variant=CouplingVariant.KERNEL):
     at every point, with no n cap, and char_fn_exact (the h recursion, with its
     budget) otherwise.  Arguments and return shapes are char_fn_exact's.
     """
-    route = char_fn_exact if gf_domain_error(s, t, n) else char_fn_gf
-    return route(p, s, t, n, variant)
+    if gf_domain_error(s, t, n):
+        return char_fn_exact(p, s, t, n, variant)
+    return _contour_cf(p, *_cf_points(p, s, t, variant), n)
 
 
 # ---------------------------------------------------------------------------

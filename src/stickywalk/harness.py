@@ -5,16 +5,15 @@ Each measurement returns named numbers, CHECKS holds every bound on them,
 and run_check decides every side by one rule: each bounded value is below
 its bound, or at most 0 where the bound is 0.
 
-Reports are plain rows of floats.  Output is deterministic byte-for-byte for
-a given (config, seed): Monte Carlo substreams are derived from
-(seed, n, path index), the sampler walks them in path-index order in one
-thread (there is no worker count to set), and rows are emitted in
-(n, grid index) order.
+Report rows (ReportRow, CovarianceRow) are named tuples, one field per
+column.  Output is deterministic byte-for-byte for a given (config, seed):
+Monte Carlo substreams are derived from (seed, n, path index), the sampler
+walks them in path-index order in one thread (there is no worker count to
+set), and rows are emitted in (n, grid index) order.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import math
@@ -146,8 +145,7 @@ class SweepConfig:
         _check_mc_paths(self.paths)
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     n: int
     delta: float
     s: float
@@ -161,8 +159,7 @@ class ReportRow:
     error: str = ""
 
 
-@dataclass(frozen=True)
-class CovarianceRow:
+class CovarianceRow(NamedTuple):
     n: int
     delta: float
     exact: float | None = None
@@ -196,15 +193,20 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
 
     The exact engine and the limit are evaluated at (s/sqrt(n), t/sqrt(n)) and
     (s, t) respectively; per-row failures land in the error column and the run
-    continues.  The limit does not depend on n, so each grid point's limit is
-    computed once; a limit that raises fails only that point's rows.  Each n
-    makes one exact call for the whole grid first, and its Monte Carlo sample
-    is drawn only if some row of that n can succeed, so an n the exact side
-    refuses costs no simulation.  That call is exact.char_fn, which picks
-    the contour or the h recursion for the whole grid of that n.
+    continues.  The limit does not depend on n, so the whole limit column is
+    one limit_cf call over the grid, made once.  Only if that call raises is
+    the limit taken point by point, so a limit that raises fails only that
+    point's rows, with that point's own error.  Each n makes one exact call
+    for the whole grid first, and its Monte Carlo sample is drawn only if some
+    row of that n can succeed, so an n the exact side refuses costs no
+    simulation.  That call is exact.char_fn, which picks the contour or the h
+    recursion for the whole grid of that n.
     """
-    limits = [_limit_cell(config, s, t) for s, t in config.grid]
     s_axis, t_axis = np.array(config.grid).T
+    try:
+        limits = limit_cf(config.regime, s_axis, t_axis).tolist()
+    except Exception:  # isolate the failing points
+        limits = [_limit_cell(config, s, t) for s, t in config.grid]
     rows: list[ReportRow] = []
     for n in config.n_list:
         delta = config.regime.delta_at(n)
@@ -277,15 +279,13 @@ def _cell(value) -> str:
 def rows_to_csv(rows) -> str:
     if not rows:
         return ""
-    names = [f.name for f in dataclasses.fields(rows[0])]
-    lines = [",".join(names)]
-    for row in rows:
-        lines.append(",".join(_cell(getattr(row, name)) for name in names))
+    lines = [",".join(rows[0]._fields)]
+    lines += (",".join(map(_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows) -> str:
-    return json.dumps([dataclasses.asdict(row) for row in rows], indent=2) + "\n"
+    return json.dumps([row._asdict() for row in rows], indent=2) + "\n"
 
 
 def write_report(rows, out: str | Path | None = None, fmt: str = "csv") -> str:
@@ -463,9 +463,12 @@ def critical_route_gap(alphas, axis, tol: float) -> dict:
     """"gap": worst |limit_cf (contour) - phi_critical (quadrature to tol)|
     over the axis x axis grid at each critical alpha."""
     s_grid, t_grid = _grid_axes(axis)
-    return {"gap": _worst(abs(limit_cf(RegimeSpec.critical(alpha), s, t)
-                              - phi_critical(alpha, s, t, tol=tol))
-                          for alpha in alphas for s, t in zip(s_grid.tolist(), t_grid.tolist()))}
+    gaps = []
+    for alpha in alphas:
+        contour = limit_cf(RegimeSpec.critical(alpha), s_grid, t_grid).tolist()
+        gaps += (abs(value - phi_critical(alpha, s, t, tol=tol))
+                 for s, t, value in zip(s_grid.tolist(), t_grid.tolist(), contour))
+    return {"gap": _worst(gaps)}
 
 
 def gf_route_gaps(alphas, ns, axis, far_ns) -> dict:
@@ -487,7 +490,7 @@ def gf_route_gaps(alphas, ns, axis, far_ns) -> dict:
     gaps, drift, scaled, covariance, outside = [], [], [], [], 0
     for alpha in alphas:
         regime = RegimeSpec.critical(alpha)
-        phi = np.array([limit_cf(regime, s, t) for s, t in zip(s_grid.tolist(), t_grid.tolist())])
+        phi = limit_cf(regime, s_grid, t_grid)
         for n in ns:
             rn = math.sqrt(n)
             p = StickinessParam(alpha * rn)

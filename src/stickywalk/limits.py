@@ -231,7 +231,7 @@ def phi_critical(alpha: float, s: float, t: float, tol: float = 1e-10) -> float:
     return math.exp(-theta) - t * s * weighted
 
 
-def limit_cf(regime: RegimeSpec, s: float, t: float) -> float:
+def limit_cf(regime: RegimeSpec, s, t):
     """Limiting characteristic function of the rescaled endpoint under the regime.
 
     The subcritical and supercritical limits are closed forms.  The critical
@@ -243,28 +243,55 @@ def limit_cf(regime: RegimeSpec, s: float, t: float) -> float:
     absolute error about 1e-13, no quadrature (phi_critical is the check).
     G is the paper's critical Laplace target, the transform of ell; its only
     singularity on the principal sheet is the branch cut lam <= -w^2/4, and
-    the pole is -theta.  Non-finite angles raise ValueError in every regime,
-    and so do critical angles where theta overflows.
-    """
-    if not (math.isfinite(s) and math.isfinite(t)):
-        raise ValueError(f"angles must be finite, got s = {s!r}, t = {t!r}")
-    if regime.kind == "subcritical":
-        return math.exp(-0.5 * (s * s + t * t))
-    if regime.kind == "supercritical":
-        try:
-            return math.exp(-0.5 * (s + t) ** 2)
-        except OverflowError:  # (s + t)^2 above the largest double
-            return 0.0
-    theta, w2, ts, alpha = _theta(s, t), (s + t) * (s + t), t * s, regime.alpha
-    if ts == 0.0:  # an axis: the Gaussian marginal, exactly
-        return math.exp(-theta)
+    the pole is -theta.
 
-    with np.errstate(all="ignore"):  # a non-finite value is refused below
-        value = inverse_laplace_at_1(
-            lambda lam: (1.0 - _critical_target(lam, w2, alpha, ts)) / (lam + theta))
-    if not math.isfinite(value):
-        raise ValueError(f"the contour cannot evaluate s = {s!r}, t = {t!r}")
-    return value
+    s and t are two angles, giving a float, or two equal-length 1-D
+    sequences, giving a float64 array with one value per (s[i], t[i]) that
+    equals the scalar calls bit for bit: the off-axis critical points share
+    one contour call with a row per point, and the closed forms and the axes
+    (s t = 0, the Gaussian marginal exp(-theta)) stay math.exp per point.
+    Unequal shapes raise ValueError.  So do non-finite angles in every
+    regime, and critical angles where theta overflows or the contour value is
+    not finite; a sequence raises the scalar call's error at the first such
+    point.
+    """
+    s_arr, t_arr = np.asarray(s, dtype=np.float64), np.asarray(t, dtype=np.float64)
+    if s_arr.ndim > 1 or s_arr.shape != t_arr.shape:
+        raise ValueError(f"s and t must be two angles or two equal-length 1-D sequences, "
+                         f"got shapes {s_arr.shape} and {t_arr.shape}")
+    scalar, s_arr, t_arr = s_arr.ndim == 0, s_arr.reshape(-1), t_arr.reshape(-1)
+    contour = iter(())
+    if regime.kind == "critical":
+        with np.errstate(all="ignore"):  # a refused point raises in the loop below
+            w = s_arr + t_arr
+            theta, w2, ts = 0.5 * (s_arr * s_arr + t_arr * t_arr), w * w, t_arr * s_arr
+            inside = np.isfinite(theta) & (ts != 0.0)  # off the axes, theta finite
+            theta, w2, ts = (a[inside, None] for a in (theta, w2, ts))
+            contour = iter(inverse_laplace_at_1(
+                lambda lam: (1.0 - _critical_target(lam, w2, regime.alpha, ts)) / (lam + theta)
+            ).tolist())
+    values = []
+    for s, t in zip(s_arr.tolist(), t_arr.tolist()):
+        if not (math.isfinite(s) and math.isfinite(t)):
+            raise ValueError(f"angles must be finite, got s = {s!r}, t = {t!r}")
+        if regime.kind == "subcritical":
+            values.append(math.exp(-0.5 * (s * s + t * t)))
+            continue
+        if regime.kind == "supercritical":
+            try:
+                values.append(math.exp(-0.5 * (s + t) ** 2))
+            except OverflowError:  # (s + t)^2 above the largest double
+                values.append(0.0)
+            continue
+        theta = _theta(s, t)
+        if t * s == 0.0:  # an axis: the Gaussian marginal, exactly
+            values.append(math.exp(-theta))
+            continue
+        value = next(contour)
+        if not math.isfinite(value):
+            raise ValueError(f"the contour cannot evaluate s = {s!r}, t = {t!r}")
+        values.append(value)
+    return values[0] if scalar else np.array(values, dtype=np.float64)
 
 
 def covariance_limit(alpha: float) -> float:

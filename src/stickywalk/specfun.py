@@ -256,17 +256,24 @@ def _hyperbolic_contour(N: int) -> tuple[np.ndarray, np.ndarray]:
 CONTOUR_NODES, CONTOUR_WEIGHTS = _hyperbolic_contour(16)
 
 
-def inverse_laplace_at_1(transform: Callable[[np.ndarray], np.ndarray]) -> float:
+def inverse_laplace_at_1(transform: Callable[[np.ndarray], np.ndarray]):
     """f(1) from its Laplace transform F, by the trapezoidal rule on a fixed
     hyperbolic contour: sum_k CONTOUR_WEIGHTS[k] * F(CONTOUR_NODES[k]), real part.
 
-    ``transform`` takes the complex node array and returns F there.  F must be
-    analytic off (-inf, 0] (poles and branch cuts there), real on the real
-    axis, and decay like 1/lam or faster.  The contour wraps all of (-inf, 0],
-    so the placement of the singularities on it does not matter.  The
-    absolute error is about 1e-13 for the critical limit's transform (largest
-    gap 9.6e-14 to a 1e-12 quadrature over alpha in [1e-3, 1e6]) and for the
-    covariance transform G(lam) / lam (1.24e-14 to a 1e-13 quadrature over
-    alpha in [1e-3, 1e12]).
+    ``transform`` takes the complex node array and returns F there, as one
+    value per node (the result is a float) or as one row of them per
+    transform (the result is a float64 array, one value per row).  Each row
+    is summed by its own np.dot, so a row's value is bit for bit the one its
+    transform gives alone; a matrix product over the rows differs from it in
+    the last bits.  F must be analytic off (-inf, 0] (poles and branch cuts
+    there), real on the real axis, and decay like 1/lam or faster.  The
+    contour wraps all of (-inf, 0], so the placement of the singularities on
+    it does not matter.  The absolute error is about 1e-13 for the critical
+    limit's transform (largest gap 9.6e-14 to a 1e-12 quadrature over alpha
+    in [1e-3, 1e6]) and for the covariance transform G(lam) / lam (1.24e-14
+    to a 1e-13 quadrature over alpha in [1e-3, 1e12]).
     """
-    return float(np.dot(CONTOUR_WEIGHTS, transform(CONTOUR_NODES)).real)
+    values = transform(CONTOUR_NODES)
+    if values.ndim == 1:
+        return float(np.dot(CONTOUR_WEIGHTS, values).real)
+    return np.array([np.dot(CONTOUR_WEIGHTS, row).real for row in values], dtype=np.float64)

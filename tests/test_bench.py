@@ -124,6 +124,15 @@ def test_layers_refuses_no_repeats(capsys):
     assert "--repeats" in capsys.readouterr().err
 
 
+def test_layers_limit_group_runs():
+    # the limit group in process, one repeat: a row that no longer runs
+    # against the package fails here, not only when the table is timed
+    rows = layers.limit_rows(1)
+    assert list(rows) == ["limit_cf grid alpha=2", "phi_critical grid alpha=2",
+                          "run_sweep critical alpha=2 n=1024,4096,8192 paths=0"]
+    assert all(len(times) == 1 and times[0] > 0.0 for times in rows.values())
+
+
 def test_perfbench_tracer_finds_what_it_wraps():
     # perfbench/spans.py wraps package functions by name and reads some of
     # their arguments: a rename or a dropped parameter here would break the

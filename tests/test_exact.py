@@ -369,13 +369,33 @@ def test_char_fn_takes_the_contour_inside_its_domain_only():
             char_fn(p, [0.1, 0.2], [0.3, 0.1, 0.2], n)
 
 
+def test_char_fn_checks_the_domain_once_per_call(monkeypatch):
+    # char_fn decides the route by one gf_domain_error call and takes the
+    # contour without char_fn_gf's own check; char_fn_gf still checks
+    causes = []
+    real = exact.gf_domain_error
+
+    def spying(s, t, n):
+        causes.append(real(s, t, n))
+        return causes[-1]
+
+    monkeypatch.setattr(exact, "gf_domain_error", spying)
+    p, s, t = StickinessParam(3.0), np.array([0.1, -0.4]), np.array([0.2, 0.3])
+    for n in (16, 4096):
+        char_fn(p, s, t, n)
+    assert causes == ["", ""]
+    char_fn_gf(p, s, t, 64)
+    char_fn(p, s, t, 8)  # below 16: refused, so the recursion answers
+    assert causes[2] == "" and "below 16" in causes[3] and len(causes) == 4
+
+
 def test_char_fn_gf_complements_at_1e8():
     # n (f_n - phi) has a limit whose sup over the default grid is 0.174 at
     # alpha = 2 (0.17399 from the recursion at n = 8192); with the naive
     # 1 - cos s cos t in the denominator the same sup reads 0.150 at n = 1e8
     n, axis = 10 ** 8, (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
     s, t = np.repeat(axis, 6), np.tile(axis, 6)
-    phi = np.array([limit_cf(RegimeSpec.critical(2.0), a, b) for a, b in zip(s, t)])
+    phi = limit_cf(RegimeSpec.critical(2.0), s, t)
     f = char_fn_gf(StickinessParam(2.0 * math.sqrt(n)), s / math.sqrt(n), t / math.sqrt(n), n)
     assert n * np.max(np.abs(f.real - phi)) == pytest.approx(0.17399, abs=2e-5)
 

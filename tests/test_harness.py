@@ -143,7 +143,7 @@ def test_run_sweep_isolates_row_failures(monkeypatch):
     real = harness.limit_cf
 
     def poisoned(regime, s, t):
-        if s == 0.5:
+        if np.any(np.asarray(s) == 0.5):  # the grid call and that point's own call
             raise RuntimeError("poisoned grid point")
         return real(regime, s, t)
 
@@ -176,7 +176,7 @@ def test_run_sweep_bytes_match_per_point_recursion(monkeypatch):
     config = SweepConfig(regime=RegimeSpec.critical(1.37), n_list=n_list,
                          grid=tuple((s, t) for s in axis for t in axis) + far, paths=300, seed=5)
     batched = write_report(run_sweep(config), fmt="csv")
-    monkeypatch.setattr(exact, "char_fn_gf", None)
+    monkeypatch.setattr(exact, "_contour_cf", None)
     assert write_report(run_sweep(config), fmt="csv") == batched
     monkeypatch.setattr(exact, "char_fn_exact", _per_point_char_fn)
     assert write_report(run_sweep(config), fmt="csv") == batched
@@ -250,14 +250,16 @@ def test_run_sweep_computes_each_limit_once(monkeypatch):
     real = harness.limit_cf
 
     def counting(regime, s, t):
-        calls.append((s, t))
+        calls.append((np.array(s), np.array(t)))
         return real(regime, s, t)
 
     monkeypatch.setattr(harness, "limit_cf", counting)
     config = SweepConfig(regime=RegimeSpec.critical(2.0), n_list=(16, 32, 64),
                          grid=((1.0, 1.0), (0.5, -1.0)))
     rows = run_sweep(config)
-    assert calls == list(config.grid)
+    # one call for the whole limit column, its arrays the grid's axes
+    assert len(calls) == 1
+    assert calls[0][0].tolist() == [1.0, 0.5] and calls[0][1].tolist() == [1.0, -1.0]
     assert [row.f_limit for row in rows[:2]] * 3 == [row.f_limit for row in rows]
 
 
@@ -340,6 +342,19 @@ def test_report_json_roundtrip(tmp_path):
     assert parsed[0]["limit"] == rows[0].limit
     with pytest.raises(ValueError):
         write_report(rows, fmt="xml")
+
+
+def test_report_rows_are_immutable_with_fixed_columns():
+    row = run_sweep(_small_config())[0]
+    for name, value in (("f_limit", 0.0), ("error", "x")):
+        with pytest.raises(AttributeError):
+            setattr(row, name, value)
+    assert row._fields == ("n", "delta", "s", "t", "f_exact", "f_mc", "f_limit",
+                           "err_exact_limit", "err_mc_exact", "mc_stderr", "error")
+    assert harness.CovarianceRow(n=3, delta=1.0) == (3, 1.0, None, None, None, None, None,
+                                                     None, "")
+    header = write_report(run_covariance(2.0, n_list=(64,)), fmt="csv").splitlines()[0]
+    assert header == "n,delta,exact,mc,mc_stderr,limit,err_exact_limit,err_mc_exact,error"
 
 
 def test_selftest_passes_for_both_couplings():

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -275,6 +276,52 @@ def test_limit_cf_rejects_non_finite_angles(regime):
         # no exp((s^2 + t^2) x / 2) is formed: far angles evaluate, near 0
         for s, t in ((40.0, 40.0), (1e150, 1e150), (2e153, -2.1e153)):
             assert abs(limit_cf(regime, s, t)) <= 1e-13
+
+
+_ANGLE = st.one_of(st.floats(-40.0, 40.0), st.sampled_from([0.0, -0.0, 1e154, -1e154, 1e-200]))
+
+
+@given(st.lists(st.tuples(_ANGLE, _ANGLE), max_size=12), st.floats(0.05, 20.0))
+@settings(max_examples=150, deadline=None)
+def test_limit_cf_array_equals_scalar_calls(points, alpha):
+    # axis points (s t = 0) and (s + t)^2 overflowing (supercritical -> 0.0)
+    # come up; critical points the scalar call refuses are left to
+    # test_limit_cf_array_raises_the_scalar_error
+    for regime in (RegimeSpec.subcritical(), RegimeSpec.critical(alpha),
+                   RegimeSpec.supercritical()):
+        want = {}
+        for i, (a, b) in enumerate(points):
+            try:
+                want[i] = limit_cf(regime, a, b)
+            except ValueError:
+                assert regime.kind == "critical"
+        s, t = ([points[i][k] for i in want] for k in (0, 1))
+        got = limit_cf(regime, s, t)
+        assert got.dtype == np.float64 and got.shape == (len(s),)
+        assert got.tobytes() == np.array(list(want.values()), dtype=np.float64).tobytes()
+    assert limit_cf(RegimeSpec.supercritical(), [0.5, 1e154], [0.0, 1e154]).tolist() == [
+        math.exp(-0.125), 0.0]
+
+
+def test_limit_cf_refuses_unequal_shapes():
+    for s, t in (([0.1, 0.2], [0.3]), (0.1, [0.3]), ([[0.1]], [[0.3]])):
+        for regime in (RegimeSpec.subcritical(), RegimeSpec.critical(2.0)):
+            with pytest.raises(ValueError, match="equal-length"):
+                limit_cf(regime, s, t)
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 1.0), (0.5, -math.inf), (1e300, 1e300),
+                                 (1.33e154, 1e153)])
+def test_limit_cf_array_raises_the_scalar_error(bad):
+    # one bad point in a grid: the array call raises what the scalar call at
+    # that point raises, whatever the points after it
+    regime = RegimeSpec.critical(2.0)
+    with pytest.raises(ValueError) as scalar:
+        limit_cf(regime, *bad)
+    s, t = [1.0, 0.0, bad[0], math.nan], [-0.5, 2.0, bad[1], 1e300]
+    with pytest.raises(ValueError) as array:
+        limit_cf(regime, s, t)
+    assert str(array.value) == str(scalar.value)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 7.0])

@@ -12,6 +12,7 @@ from stickywalk.specfun import (
     erfcx_complex,
     erfcx_real,
     integrate_01,
+    inverse_laplace_at_1,
 )
 
 from oracles import ERFC_ONE, ERFCX_I
@@ -143,3 +144,15 @@ def test_integrate_bad_tol():
     for tol in (0.0, math.nan, math.inf):  # NaN would pass a `tol <= 0` check
         with pytest.raises(ValueError):
             integrate_01(lambda x: 1.0, tol=tol)
+
+
+def test_inverse_laplace_rows_equal_their_own_calls():
+    # one row per transform, each summed by its own np.dot: a row's value is
+    # bit for bit its 1-D call, whatever the other rows
+    shifts = np.array([[0.5], [1.0], [3.0]])
+    both = inverse_laplace_at_1(lambda lam: 1.0 / (lam + shifts))
+    assert both.dtype == np.float64 and both.shape == (3,)
+    alone = [inverse_laplace_at_1(lambda lam: 1.0 / (lam + a)) for a in (0.5, 1.0, 3.0)]
+    assert both.tolist() == alone
+    assert max(abs(v - math.exp(-a)) for v, a in zip(alone, (0.5, 1.0, 3.0))) <= 1e-12
+    assert inverse_laplace_at_1(lambda lam: np.ones((0, lam.size))).shape == (0,)
